@@ -14,7 +14,8 @@ Subcommands
 ``geovar oracle <config.json> --seed S``
     Evaluate the assembled stationarity residual at a seeded random
     interior point and compare it against an independent finite-difference
-    gradient of the discrete augmented action.
+    gradient of the discrete augmented action; at the same point, check that
+    the column-grouped Jacobian equals the dense one exactly.
 
 Common flags: ``--tol``, ``--max-iters``, ``--retraction``, ``--out-dir``.
 Each flag can also be set through an environment variable with the
@@ -36,9 +37,9 @@ from pathlib import Path
 import numpy as np
 
 from . import discrete, groups, models, ocp, oracle
-from .errors import ConfigError, GeovarError
+from .errors import ConfigError, GeovarError, SizeError
 from .retraction import make_retraction
-from .solver import SolverConfig, solve
+from .solver import SolverConfig, fd_jacobian, solve
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -277,9 +278,12 @@ def _solve_ocp(cfg, args):
         "unknowns": ocp.unknown_count(prob.N, prob.n, prob.m),
         "equations": ocp.equation_count(prob.N, prob.n, prob.m),
     }
-    assert counts["unknowns"] == counts["equations"], (
-        "unknown/equation counts must agree before solving"
-    )
+    if counts["unknowns"] != counts["equations"]:
+        raise SizeError(
+            f"{counts['unknowns']} unknowns but {counts['equations']} equations; "
+            "the system must be square before solving"
+        )
+    scfg.jacobian = ocp.make_jacobian_fn(prob, retr)
     fn = ocp.make_residual_fn(prob, retr)
     x0 = ocp.initial_guess(prob, retr)
     result = solve(fn, x0, scfg)
@@ -330,6 +334,8 @@ def _solve_frb(cfg, args):
     xi_nodes, iters = discrete.dep_solve_path(
         grad, xi0, N, h, retr, return_iterations=True
     )
+    # dep_step reports its iteration cap exactly when it did not converge
+    stuck = [k for k, it in enumerate(iters) if it >= discrete.DEP_MAX_ITER]
     g_nodes = discrete.reconstruct(xi_nodes, g0, h, retr)
     pair_eval = body.pair_eval(h, retr)
     momenta = []
@@ -346,7 +352,9 @@ def _solve_frb(cfg, args):
         "model": "free_rigid_body",
         "N": N,
         "h": h,
-        "converged": True,
+        "converged": not stuck,
+        "nonconverged_steps": len(stuck),
+        "first_nonconverged_step": stuck[0] if stuck else None,
         "newton_iterations_per_step": iters,
         "max_newton_iterations": max(iters) if iters else 0,
         "momentum_per_step": momenta,
@@ -358,13 +366,11 @@ def _solve_frb(cfg, args):
     }
     directory = out_dir(cfg, args)
     t_nodes = np.arange(N + 1) * h
-    # xi has one entry per increment; pad with the final value for the CSV
-    xi_csv = np.vstack([xi_nodes, xi_nodes[-1]])
     write_trajectory(
-        directory / "trajectory.csv", t_nodes, None, xi_csv[:-1], None, g_nodes
+        directory / "trajectory.csv", t_nodes, None, xi_nodes, None, g_nodes
     )
     write_diagnostics(directory / "diagnostics.json", diag)
-    return EXIT_OK
+    return EXIT_NO_CONVERGENCE if stuck else EXIT_OK
 
 
 def cmd_solve(args):
@@ -448,6 +454,7 @@ def _convergence_ocp(cfg, args, h_list, T):
             os.environ.get("GEOVAR_TOL") is not None
         if not explicit_tol and scfg.tol_residual < 1e-8:
             scfg.tol_residual = 1e-8
+        scfg.jacobian = ocp.make_jacobian_fn(prob, retr)
         fn = ocp.make_residual_fn(prob, retr)
         if prev is None:
             x0 = ocp.initial_guess(prob, retr)
@@ -508,7 +515,29 @@ def cmd_oracle(args):
     ok = worst <= 1e-6
     verdict = "pass" if ok else f"FAIL (worst block: {block})"
     print(f"oracle max discrepancy {worst:.3e} -> {verdict}")
-    return EXIT_OK if ok else EXIT_NO_CONVERGENCE
+    gap, (row, col) = jacobian_discrepancy(prob, retr, oracle_point(prob, retr, args.seed))
+    same = gap == 0.0
+    verdict = "pass" if same else "FAIL"
+    print(
+        f"grouped vs dense Jacobian max |dJ| {gap:.3e} at (row {row}, col {col})"
+        f" -> {verdict}"
+    )
+    return EXIT_OK if ok and same else EXIT_NO_CONVERGENCE
+
+
+def oracle_point(prob, retr, seed):
+    """Seeded random interior point: the standard guess plus 0.05 noise."""
+    rng = np.random.default_rng(seed)
+    x0 = ocp.initial_guess(prob, retr)
+    return x0 + 0.05 * rng.standard_normal(x0.size)
+
+
+def jacobian_discrepancy(prob, retr, x):
+    """Largest |grouped - dense| Jacobian entry at ``x`` and its (row, col)."""
+    fn = ocp.make_residual_fn(prob, retr)
+    gap = np.abs(ocp.make_jacobian_fn(prob, retr)(fn, x) - fd_jacobian(fn, x))
+    worst = np.unravel_index(int(np.argmax(gap)), gap.shape)
+    return float(gap[worst]), tuple(int(i) for i in worst)
 
 
 def oracle_discrepancy(prob, retr, seed=0, flip_block=None):
@@ -518,11 +547,7 @@ def oracle_discrepancy(prob, retr, seed=0, flip_block=None):
     ``flip_block`` (``"base"`` or ``"group"``) negates one assembled block
     — a negative-control hook used by the test suite.
     """
-    rng = np.random.default_rng(seed)
-    x0 = ocp.initial_guess(prob, retr)
-    lay = ocp.layout(prob)
-    x0 = x0 + 0.05 * rng.standard_normal(x0.size)
-    path = ocp.scatter(prob, x0)
+    path = ocp.scatter(prob, oracle_point(prob, retr, seed))
     b = prob.boundary
     path.g_nodes = discrete.reconstruct(
         path.xi_nodes, b.g0, prob.h, retr, prob.trivialization

@@ -32,6 +32,7 @@ from . import groups
 from .errors import SizeError, DomainError
 
 FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
+DEP_MAX_ITER = 50  # Newton iterations per dep_step
 
 LEFT = "left"
 RIGHT = "right"
@@ -422,12 +423,13 @@ def discrete_momentum(Ld_eval, pair, xi, side, retr, eps=1e-6):
 
 
 def dep_step(lhat_grad, xi_prev, h, retr, trivialization=LEFT,
-             tol=1e-13, max_iter=50, return_iterations=False):
+             tol=1e-13, max_iter=DEP_MAX_ITER, return_iterations=False):
     """Advance one step of the discrete Euler-Poincare equations.
 
     Solves the transported momentum balance for the next algebra node given
     the previous one, via a small Newton iteration with finite-difference
-    Jacobian.
+    Jacobian.  The iteration count returned equals ``max_iter`` exactly
+    when the residual never fell below ``tol``.
     """
     d = xi_prev.shape[0]
 
@@ -483,9 +485,12 @@ def reconstruct(xi_nodes, g0, h, retr, trivialization=LEFT):
     out[0] = g0
     steps = retr.tau(h * xi_nodes)
     for kk in range(N):
-        if trivialization == LEFT:
-            g = out[kk] @ steps[kk]
-        else:
-            g = steps[kk] @ out[kk]
-        out[kk + 1] = groups.renormalize(g, retr.group_tag)
+        out[kk + 1] = advance(out[kk], steps[kk], retr.group_tag, trivialization)
     return out
+
+
+def advance(g, step, tag, trivialization=LEFT):
+    """One reconstruction step: ``g tau`` (left) or ``tau g`` (right), then
+    renormalized.  Broadcasts over stacked ``g`` and ``step``."""
+    g = g @ step if trivialization == LEFT else step @ g
+    return groups.renormalize(g, tag)

@@ -215,10 +215,21 @@ def orthogonality_defect(g, tag):
 
 
 def renormalize(g, tag, trigger=_POLAR_TRIGGER):
-    """Re-project onto the group when drift exceeds the trigger (SO(3) only)."""
-    if tag == SO3 and orthogonality_defect(g, tag) > trigger:
-        return so3_polar_project(g)
-    return g
+    """Re-project onto the group when drift exceeds the trigger (SO(3) only).
+
+    Stacked inputs are checked and projected matrix by matrix.
+    """
+    if tag != SO3:
+        return g
+    if g.ndim == 2:
+        return so3_polar_project(g) if orthogonality_defect(g, tag) > trigger else g
+    drift = np.abs(np.swapaxes(g, -1, -2) @ g - np.eye(3)).max(axis=(-2, -1))
+    far = drift > trigger
+    if not np.any(far):
+        return g
+    out = g.copy()
+    out[far] = so3_polar_project(g[far])
+    return out
 
 
 # ---------------------------------------------------------------------------

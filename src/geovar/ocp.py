@@ -17,6 +17,9 @@ trivial bundle M x G:
    algebra closure and the constraint windows into one square system whose
    unknowns are laid out as ``[q_2..q_{N-2} | xi_1..xi_{N-2} | lambda^0..
    lambda^{N-2}]``.
+5. :func:`make_jacobian_fn` differences that system column group by column
+   group over its three-node stencil incidence, and the 3 closure rows
+   column by column.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import discrete, groups
+from . import discrete, groups, solver
 from .discrete import (
     LEFT,
     RIGHT,
@@ -455,12 +458,17 @@ def closure_residual(prob, xi_nodes, retr):
     g_nodes = discrete.reconstruct(
         xi_nodes, b.g0, prob.h, retr, prob.trivialization
     )
-    gN = g_nodes[-1]
+    return _terminal_mismatch(prob, g_nodes[-1], retr), g_nodes
+
+
+def _terminal_mismatch(prob, gN, retr):
+    """``tau^-1`` of the gap between ``g_N`` and ``g(T)``; ``gN`` may be stacked."""
+    gN_inv = groups.inverse_matrix(gN, prob.group_tag)
     if prob.trivialization == LEFT:
-        rel = groups.inverse_matrix(gN, prob.group_tag) @ b.gT
+        rel = gN_inv @ prob.boundary.gT
     else:
-        rel = b.gT @ groups.inverse_matrix(gN, prob.group_tag)
-    return retr.tau_inv(rel), g_nodes
+        rel = prob.boundary.gT @ gN_inv
+    return retr.tau_inv(rel)
 
 
 def full_residual(prob, x, retr, Ld=None, Phi=None):
@@ -485,6 +493,92 @@ def make_residual_fn(prob, retr):
         return full_residual(prob, x, retr, Ld, Phi)
 
     return fn
+
+
+def jacobian_incidence(prob):
+    """Boolean (equations, unknowns) map of the residual entries an unknown
+    can move, closure rows excluded.
+
+    Window ``w`` holds q nodes ``w..w+2``, xi nodes ``w, w+1`` and
+    ``lambda^w``.  The stationarity rows of node ``i`` see windows
+    ``i-2..i``; constraint row ``w`` sees the q and xi of window ``w``.  The
+    3 closure rows see every xi and are differenced separately.
+    """
+    lay = layout(prob)
+    N, n, m = prob.N, prob.n, prob.m
+    # unknown and row indices per node; -1 marks boundary data
+    q_col = np.full((N + 1, n), -1)
+    q_col[2 : N - 1] = np.arange(lay.q_size).reshape(N - 3, n)
+    xi_col = np.full((N, 3), -1)
+    xi_col[1 : N - 1] = lay.q_size + np.arange(lay.xi_size).reshape(N - 2, 3)
+    lam_col = lay.lam_slice.start + np.arange(lay.lam_size).reshape(N - 1, m)
+    stat_row = np.full((N + 1, n + 3), -1)
+    stat_row[2 : N - 1, :n] = np.arange((N - 3) * n).reshape(N - 3, n)
+    stat_row[2 : N - 1, n:] = (N - 3) * n + np.arange((N - 3) * 3).reshape(N - 3, 3)
+    phi_row0 = (N - 3) * (n + 3) + 3
+    P = np.zeros((equation_count(N, n, m), lay.total), dtype=bool)
+    for w in range(N - 1):
+        stat = stat_row[w : w + 3].ravel()
+        stat = stat[stat >= 0]
+        qxi = np.concatenate([q_col[w : w + 3].ravel(), xi_col[w : w + 2].ravel()])
+        qxi = qxi[qxi >= 0]
+        con = phi_row0 + w * m + np.arange(m)
+        P[np.ix_(np.concatenate([stat, con]), qxi)] = True
+        P[np.ix_(stat, lam_col[w])] = True
+    return P
+
+
+def _closure_fill(prob, retr):
+    """``fill(x, steps, J)`` writing the closure rows of the Jacobian.
+
+    Each xi column restarts the reconstruction from the cached prefix
+    ``g_k`` of its node, so the sequential products (and renormalizations)
+    are those of a full :func:`discrete.reconstruct` of the perturbed path.
+    All perturbed chains advance together, one step at a time.
+    """
+    lay = layout(prob)
+    N, h, tag, triv = prob.N, prob.h, prob.group_tag, prob.trivialization
+    row = (N - 3) * (prob.n + 3)
+    cols = np.arange(lay.xi_slice.start, lay.xi_slice.stop)
+    # chain 2c (2c + 1) is column c stepped up (down); chains sorted by node
+    start = np.repeat(np.arange(1, N - 1), 6)
+    comp = np.repeat(np.tile(np.arange(3), N - 2), 2)
+    sign = np.tile([1.0, -1.0], cols.size)
+    chain = np.arange(start.size)
+
+    def fill(x, steps, J):
+        xi = scatter(prob, x).xi_nodes
+        g = discrete.reconstruct(xi, prob.boundary.g0, h, retr, triv)
+        tau = retr.tau(h * xi)
+        xi_pm = xi[start]
+        xi_pm[chain, comp] += sign * np.repeat(steps[cols], 2)
+        ends = discrete.advance(g[start], retr.tau(h * xi_pm), tag, triv)
+        for k in range(2, N):
+            live = np.searchsorted(start, k)  # chains whose node is below k
+            ends[:live] = discrete.advance(ends[:live], tau[k], tag, triv)
+        c = _terminal_mismatch(prob, ends, retr)
+        J[row : row + 3, cols] = (c[0::2] - c[1::2]).T / (2.0 * steps[cols])
+
+    return fill
+
+
+def make_jacobian_fn(prob, retr):
+    """Jacobian of ``make_residual_fn(prob, retr)`` with the signature of
+    :func:`solver.fd_jacobian`, whose dense result it reproduces bit for bit.
+
+    The columns are colored once over :func:`jacobian_incidence`, so one
+    Jacobian costs 2 residual calls per column group (a count independent
+    of N) plus ``6 (N-2)`` closure-only evaluations.
+    """
+    incidence = jacobian_incidence(prob)
+    pattern = solver.ColumnGroups(
+        incidence, solver.greedy_column_groups(incidence), _closure_fill(prob, retr)
+    )
+
+    def jacobian(residual_fn, x, step=solver.FD_STEP):
+        return solver.fd_jacobian(residual_fn, x, step, pattern)
+
+    return jacobian
 
 
 def refine_guess(prob_coarse, x_coarse, prob_fine):

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geovar import cli
+from geovar import cli, discrete, ocp
+from geovar.errors import SizeError
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
 SE2_CONFIG = str(CONFIG_DIR / "se2_vehicle.json")
@@ -98,8 +99,41 @@ def test_solve_rigid_body_reports_conserved_quantities(tmp_path):
     code = cli.main(["solve", FRB_CONFIG, "--out-dir", str(tmp_path)])
     assert code == 0
     diag = json.loads((tmp_path / "diagnostics.json").read_text())
+    assert diag["converged"] is True
+    assert diag["nonconverged_steps"] == 0
+    assert diag["first_nonconverged_step"] is None
     assert diag["momentum_drift"] <= 1e-8
     assert diag["energy_drift_max"] <= 1e-3
+
+
+def test_rigid_body_step_that_hits_its_cap_is_reported(tmp_path, monkeypatch):
+    real_step = discrete.dep_step
+    calls = []
+
+    def fifth_step_never_converges(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 5:
+            kwargs["tol"] = 0.0  # no residual falls below zero
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(discrete, "dep_step", fifth_step_never_converges)
+    code = cli.main(["solve", FRB_CONFIG, "--out-dir", str(tmp_path)])
+    assert code == 2
+    diag = json.loads((tmp_path / "diagnostics.json").read_text())
+    assert diag["converged"] is False
+    assert diag["nonconverged_steps"] == 1
+    assert diag["first_nonconverged_step"] == 4
+    assert diag["newton_iterations_per_step"][4] == discrete.DEP_MAX_ITER
+    assert (tmp_path / "trajectory.csv").exists()
+
+
+def test_unequal_counts_raise_before_solving(tmp_path, monkeypatch):
+    monkeypatch.setattr(ocp, "equation_count", lambda N, n, m: 110)
+    args = cli.make_parser().parse_args(
+        ["solve", SE2_CONFIG, "--out-dir", str(tmp_path)]
+    )
+    with pytest.raises(SizeError, match="109 unknowns but 110 equations"):
+        cli.cmd_solve(args)
 
 
 # -- oracle ------------------------------------------------------------------
@@ -109,7 +143,10 @@ def test_solve_rigid_body_reports_conserved_quantities(tmp_path):
 def test_oracle_passes_for_both_models(config, capsys, tmp_path):
     code = cli.main(["oracle", config, "--seed", "42", "--out-dir", str(tmp_path)])
     assert code == 0
-    assert "pass" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "pass" in out
+    assert "FAIL" not in out
+    assert "grouped vs dense Jacobian max |dJ| 0.000e+00" in out
 
 
 def test_oracle_negative_control_flags_the_flipped_block(capsys, tmp_path):
@@ -119,6 +156,24 @@ def test_oracle_negative_control_flags_the_flipped_block(capsys, tmp_path):
     )
     assert code == 2
     assert "group-stationarity" in capsys.readouterr().out
+
+
+def test_oracle_flags_a_grouped_jacobian_that_misses_an_entry(
+    capsys, tmp_path, monkeypatch
+):
+    full = ocp.jacobian_incidence
+
+    def missing_row(prob):
+        incidence = full(prob)
+        incidence[0] = False
+        return incidence
+
+    monkeypatch.setattr(ocp, "jacobian_incidence", missing_row)
+    code = cli.main(["oracle", SE2_CONFIG, "--seed", "42", "--out-dir", str(tmp_path)])
+    assert code == 2
+    out = capsys.readouterr().out
+    assert "oracle max discrepancy" in out and "-> pass" in out
+    assert "at (row 0, col" in out and "-> FAIL" in out
 
 
 def test_oracle_rejects_unconstrained_model(tmp_path, capsys):

@@ -25,8 +25,8 @@ from geovar.ocp import (
     stencil_point,
     unknown_count,
 )
-from geovar.retraction import CayleyRetraction
-from geovar.solver import SolverConfig, fd_jacobian, solve
+from geovar.retraction import CayleyRetraction, make_retraction
+from geovar.solver import SolverConfig, fd_jacobian, greedy_column_groups, solve
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -379,6 +379,63 @@ def test_time_reversed_vehicle_problem_has_identical_cost():
     c_fwd = _solve_cost(prob, retr)
     c_rev = _solve_cost(prob_rev, retr)
     assert abs(c_fwd - c_rev) < 1e-6
+
+
+# -- column-grouped Jacobian -------------------------------------------------
+
+
+def fixture_problem(name, N, retraction="cayley"):
+    """A shipped fixture at N steps over its own horizon T = N h."""
+    cfg = json.loads((CONFIG_DIR / name).read_text())
+    prob, _ = cli.build_problem(cfg, N=N, h=cfg["N"] * cfg["h"] / N)
+    return prob, make_retraction(retraction, prob.group_tag)
+
+
+@pytest.mark.parametrize("retraction", ["cayley", "exp4"])
+@pytest.mark.parametrize(
+    "name,N",
+    [("se2_vehicle.json", 10), ("se2_vehicle.json", 20),
+     ("ball_plate.json", 8), ("ball_plate.json", 16)],
+)
+def test_grouped_jacobian_equals_dense_bit_for_bit(name, N, retraction):
+    """Vehicle (left trivialization) and ball (right): the grouped Jacobian is
+    the dense one exactly, and every dense nonzero lies in the declared
+    incidence or the closure block."""
+    prob, retr = fixture_problem(name, N, retraction)
+    fn = ocp.make_residual_fn(prob, retr)
+    lay = layout(prob)
+    rng = np.random.default_rng(N)
+    x = initial_guess(prob, retr) + 0.02 * rng.normal(size=lay.total)
+    J_dense = fd_jacobian(fn, x)
+    assert np.array_equal(ocp.make_jacobian_fn(prob, retr)(fn, x), J_dense)
+    declared = ocp.jacobian_incidence(prob)
+    closure_row = (prob.N - 3) * (prob.n + 3)
+    declared[closure_row : closure_row + 3, lay.xi_slice] = True
+    assert not np.any((J_dense != 0) & ~declared)
+
+
+@pytest.mark.parametrize("name", ["se2_vehicle.json", "ball_plate.json"])
+def test_column_group_count_does_not_grow_with_N(name):
+    counts = [
+        len(greedy_column_groups(ocp.jacobian_incidence(fixture_problem(name, N)[0])))
+        for N in (20, 80)
+    ]
+    assert counts[0] == counts[1]
+    assert counts[0] < layout(fixture_problem(name, 20)[0]).total / 2
+
+
+def test_ball_solve_is_identical_with_grouped_and_dense_jacobians():
+    prob, retr = fixture_problem("ball_plate.json", 12)
+    fn = ocp.make_residual_fn(prob, retr)
+    x0 = initial_guess(prob, retr)
+    cfg = dict(tol_residual=1e-10, max_iters=80, linear_solver="pseudoinverse")
+    dense = solve(fn, x0, SolverConfig(**cfg))
+    grouped = solve(
+        fn, x0, SolverConfig(jacobian=ocp.make_jacobian_fn(prob, retr), **cfg)
+    )
+    assert dense.converged and grouped.converged
+    assert np.array_equal(grouped.x, dense.x)
+    assert grouped.residual_history == dense.residual_history
 
 
 # -- helpers -----------------------------------------------------------------

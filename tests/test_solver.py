@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from geovar.errors import DomainError, SingularSystemError
-from geovar.solver import SolveResult, SolverConfig, fd_jacobian, solve
+from geovar.solver import (
+    ColumnGroups,
+    SolveResult,
+    SolverConfig,
+    fd_jacobian,
+    greedy_column_groups,
+    solve,
+)
 
 
 def test_linear_system_converges_in_one_iteration():
@@ -24,8 +31,7 @@ def test_scalar_quadratic_converges_with_quadratic_tail():
 
     # analytic Jacobian so the recorded evaluations are exactly the iterates
     cfg = SolverConfig(
-        jacobian_mode="model_supplied",
-        jacobian_fn=lambda x: np.array([[2.0 * x[0]]]),
+        jacobian=lambda fn, x, step: np.array([[2.0 * x[0]]]),
     )
     result = solve(residual, np.array([3.0]), cfg)
     assert result.converged
@@ -49,6 +55,24 @@ def test_fd_jacobian_exact_on_linear_residual():
     # reduces the rounding contribution
     J = fd_jacobian(lambda x: A @ x - b, rng.normal(size=4), step=1e-4)
     assert np.abs(J - A).max() < 1e-10
+
+
+def test_grouped_fd_jacobian_matches_dense_on_a_banded_residual():
+    """Columns of a tridiagonal residual fall into 3 groups; grouped
+    differences reproduce the dense Jacobian exactly."""
+
+    def residual(x):
+        r = np.sin(x) * x
+        r[1:] += np.exp(0.3 * x[:-1])
+        r[:-1] -= x[1:] ** 3
+        return r
+
+    x = np.random.default_rng(5).normal(size=12)
+    band = np.abs(np.subtract.outer(np.arange(12), np.arange(12))) <= 1
+    groups = greedy_column_groups(band)
+    assert len(groups) == 3
+    J = fd_jacobian(residual, x, pattern=ColumnGroups(band, groups))
+    assert np.array_equal(J, fd_jacobian(residual, x))
 
 
 def test_fd_jacobian_agrees_with_model_supplied_path():
@@ -76,7 +100,7 @@ def test_fd_jacobian_agrees_with_model_supplied_path():
     r_fd = solve(residual, x)
     r_an = solve(
         residual, x,
-        SolverConfig(jacobian_mode="model_supplied", jacobian_fn=jacobian),
+        SolverConfig(jacobian=lambda fn, x, step: jacobian(x)),
     )
     assert r_fd.converged and r_an.converged
     assert np.abs(r_fd.x - r_an.x).max() < 1e-9
@@ -176,10 +200,6 @@ def test_config_validation():
         SolverConfig(tol_residual=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        SolverConfig(jacobian_mode="symbolic")
-    with pytest.raises(ValueError):
-        SolverConfig(jacobian_mode="model_supplied")
     with pytest.raises(ValueError):
         SolverConfig(linear_solver="qr")
 
