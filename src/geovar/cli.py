@@ -323,6 +323,12 @@ def _solve_ocp(cfg, args):
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 
+def _capped_steps(iters):
+    """Indices of the dep_step calls that hit the Newton cap: dep_step
+    reports its iteration cap exactly when it did not converge."""
+    return [k for k, it in enumerate(iters) if it >= discrete.DEP_MAX_ITER]
+
+
 def _solve_frb(cfg, args):
     body = _build_params(cfg)
     retr = make_retraction(retraction_kind(cfg, args), groups.SO3)
@@ -334,19 +340,18 @@ def _solve_frb(cfg, args):
     xi_nodes, iters = discrete.dep_solve_path(
         grad, xi0, N, h, retr, return_iterations=True
     )
-    # dep_step reports its iteration cap exactly when it did not converge
-    stuck = [k for k, it in enumerate(iters) if it >= discrete.DEP_MAX_ITER]
+    stuck = _capped_steps(iters)
     g_nodes = discrete.reconstruct(xi_nodes, g0, h, retr)
     pair_eval = body.pair_eval(h, retr)
-    momenta = []
-    for k in range(N - 1):
-        pair = ((None, g_nodes[k]), (None, g_nodes[k + 1]))
-        momenta.append(
-            [
-                discrete.discrete_momentum(pair_eval, pair, e, "plus", retr)
-                for e in np.eye(3)
-            ]
-        )
+    # all N-1 adjacent pairs (g_k, g_k+1), k < N-1, at once per generator
+    pairs = ((None, g_nodes[:-2]), (None, g_nodes[1:-1]))
+    momenta = np.stack(
+        [
+            discrete.discrete_momentum(pair_eval, pairs, e, "plus", retr)
+            for e in np.eye(3)
+        ],
+        axis=1,
+    )
     energy = body.energy(xi_nodes)
     diag = {
         "model": "free_rigid_body",
@@ -357,10 +362,8 @@ def _solve_frb(cfg, args):
         "first_nonconverged_step": stuck[0] if stuck else None,
         "newton_iterations_per_step": iters,
         "max_newton_iterations": max(iters) if iters else 0,
-        "momentum_per_step": momenta,
-        "momentum_drift": float(
-            np.abs(np.asarray(momenta) - np.asarray(momenta)[0]).max()
-        ) if momenta else 0.0,
+        "momentum_per_step": momenta.tolist(),
+        "momentum_drift": float(np.abs(momenta - momenta[0]).max()),
         "energy_initial": float(energy[0]),
         "energy_drift_max": float(np.abs(energy - energy[0]).max()),
     }
@@ -481,7 +484,14 @@ def _convergence_frb(cfg, args, h_list, T):
     paths = []
     for hh in h_list:
         N = _int_steps(T, hh)
-        xi_nodes = discrete.dep_solve_path(body.lhat_grad(hh), xi0, N, hh, retr)
+        xi_nodes, iters = discrete.dep_solve_path(
+            body.lhat_grad(hh), xi0, N, hh, retr, return_iterations=True
+        )
+        stuck = _capped_steps(iters)
+        if stuck:
+            raise GeovarError(
+                f"inner solve failed at h = {hh}: step {stuck[0]} hit the Newton cap"
+            )
         paths.append((hh, xi_nodes))
     hf, xf = paths[-1]
     tf = np.arange(len(xf)) * hf

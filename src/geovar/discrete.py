@@ -202,6 +202,15 @@ def xi_slot_totals(Dxi, N, k):
     return S
 
 
+def _transported(S, xi, h, retr):
+    """Momenta ``(dtau^-1_{h xi_m})* S_m`` and their transports by
+    ``Ad*_{W_m}``, ``W_m = tau(h xi_m)``, one row per algebra node ``m``."""
+    hxi = h * xi
+    Dinv_T_S = np.einsum("mji,mj->mi", retr.dtau_inv_matrix(hxi), S)
+    AdW = groups.Ad_matrix(retr.tau(hxi), retr.group_tag)
+    return Dinv_T_S, np.einsum("mji,mj->mi", AdW, Dinv_T_S)
+
+
 def group_chain_residual(S, xi_nodes, h, retr, trivialization, lo, hi):
     """Group-part stationarity rows for nodes ``i = lo .. hi`` (inclusive).
 
@@ -215,15 +224,10 @@ def group_chain_residual(S, xi_nodes, h, retr, trivialization, lo, hi):
     with ``W_m = tau(h xi_m)``; equal to the gradient of the action under
     trivialized variations at node i.
     """
-    tag = retr.group_tag
-    hxi = h * xi_nodes
-    Dinv_T_S = np.einsum("mji,mj->mi", retr.dtau_inv_matrix(hxi), S)
-    AdW = groups.Ad_matrix(retr.tau(hxi), tag)
+    Dinv_T_S, carried = _transported(S, xi_nodes, h, retr)
     if trivialization == LEFT:
-        carried = np.einsum("mji,mj->mi", AdW, Dinv_T_S)
         res = (carried[lo - 1 : hi] - Dinv_T_S[lo : hi + 1]) / h
     elif trivialization == RIGHT:
-        carried = np.einsum("mji,mj->mi", AdW, Dinv_T_S)
         res = (Dinv_T_S[lo - 1 : hi] - carried[lo : hi + 1]) / h
     else:
         raise ValueError(f"unknown trivialization {trivialization!r}")
@@ -396,6 +400,10 @@ def discrete_momentum(Ld_eval, pair, xi, side, retr, eps=1e-6):
     J+ pairs the second-slot derivative with the generator at the second
     point; J- pairs minus the first-slot derivative with the generator at
     the first point.  For invariant Lagrangians the two coincide.
+
+    ``g0`` and ``g1`` may be stacked ``(B, 3, 3)`` arrays of pairs when
+    ``Ld_eval`` accepts them (as :meth:`FreeRigidBody.pair_eval` does); the
+    result is then a ``(B,)`` array.  One pair gives a float.
     """
     (q0, g0), (q1, g1) = pair
     flow_p = retr.tau(eps * xi)
@@ -412,9 +420,9 @@ def discrete_momentum(Ld_eval, pair, xi, side, retr, eps=1e-6):
         ) / (2.0 * eps)
     else:
         raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
-    if not np.isfinite(val):
+    if not np.all(np.isfinite(val)):
         raise DomainError("non-finite momentum pairing")
-    return float(val)
+    return float(val) if np.ndim(val) == 0 else val
 
 
 # ---------------------------------------------------------------------------
@@ -426,30 +434,41 @@ def dep_step(lhat_grad, xi_prev, h, retr, trivialization=LEFT,
              tol=1e-13, max_iter=DEP_MAX_ITER, return_iterations=False):
     """Advance one step of the discrete Euler-Poincare equations.
 
-    Solves the transported momentum balance for the next algebra node given
-    the previous one, via a small Newton iteration with finite-difference
-    Jacobian.  The iteration count returned equals ``max_iter`` exactly
-    when the residual never fell below ``tol``.
+    Solves the transported momentum balance (the single row of
+    :func:`dep_residual` on ``(xi_prev, xi_next)``) for the next algebra node
+    by a small Newton iteration with a central-difference Jacobian.  The
+    previous node's term is fixed during the step and computed once; each
+    iteration then makes one stacked residual call, at ``x`` and at the
+    ``2 d`` points ``x +/- dx_j e_j``.  The iteration count returned equals
+    ``max_iter`` exactly when the residual never fell below ``tol``.
     """
     d = xi_prev.shape[0]
+    # which of _transported's (plain, carried) terms each node contributes;
+    # see group_chain_residual
+    if trivialization == LEFT:
+        prev_term, next_term = 1, 0
+    elif trivialization == RIGHT:
+        prev_term, next_term = 0, 1
+    else:
+        raise ValueError(f"unknown trivialization {trivialization!r}")
+    prev = xi_prev[None]
+    fixed = _transported(lhat_grad(prev), prev, h, retr)[prev_term]
 
-    def res(xi_next):
-        pair = np.stack([xi_prev, xi_next])
-        r = dep_residual(lhat_grad, pair, h, retr, trivialization)
-        return r[0]
+    def res(xs):
+        """Residual rows at the stacked candidates ``xs`` of shape (B, d)."""
+        return (fixed - _transported(lhat_grad(xs), xs, h, retr)[next_term]) / h
 
     x = xi_prev.copy()
     iters = max_iter
     for it in range(max_iter):
-        r = res(x)
+        dx = 1e-7 * np.maximum(1.0, np.abs(x))
+        step = np.diag(dx)
+        rows = res(np.concatenate([x[None], x + step, x - step]))
+        r = rows[0]
         if np.abs(r).max() < tol:
             iters = it
             break
-        J = np.empty((d, d))
-        for j in range(d):
-            dx = np.zeros(d)
-            dx[j] = 1e-7 * max(1.0, abs(x[j]))
-            J[:, j] = (res(x + dx) - res(x - dx)) / (2.0 * dx[j])
+        J = ((rows[1 : d + 1] - rows[d + 1 :]) / (2.0 * dx)[:, None]).T
         x = x - np.linalg.solve(J, r)
     if return_iterations:
         return x, iters

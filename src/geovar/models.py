@@ -654,13 +654,16 @@ class FreeRigidBody:
 
     def pair_eval(self, h, retr):
         """First-order discrete Lagrangian on adjacent group nodes, for the
-        discrete momentum pairings."""
+        discrete momentum pairings.  ``g0``, ``g1`` may be stacked
+        ``(B, 3, 3)`` arrays; one value per pair is returned."""
 
         def Ld_eval(first, second):
             _, g0 = first
             _, g1 = second
             xi = retr.tau_inv(np.linalg.solve(g0, g1)) / h
-            return 0.5 * h * float(xi @ (self.inertia * xi))
+            # a batched matmul rounds each quadratic form like xi @ (I xi)
+            quad = xi[..., None, :] @ (self.inertia * xi)[..., :, None]
+            return 0.5 * h * quad[..., 0, 0]
 
         return Ld_eval
 

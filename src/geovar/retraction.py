@@ -115,8 +115,15 @@ class CayleyRetraction(Retraction):
         return out
 
     def _guard(self, g):
-        """Reject inputs near the Cayley singularity at rotation angle pi."""
-        if self.group_tag == groups.SO3:
+        """Reject inputs near the Cayley singularity at rotation angle pi.
+
+        SO(3) inputs are also rejected when ``e + g``, which ``tau_inv``
+        solves with, is ill-conditioned.  The SE(2) inverse is closed-form,
+        so there only the angle matters: ``cond(e + g)`` grows with the
+        translation and would reject distant but regular inputs.
+        """
+        so3 = self.group_tag == groups.SO3
+        if so3:
             cos_theta = 0.5 * (np.einsum("...ii->...", g) - 1.0)
             theta = np.arccos(np.clip(cos_theta, -1.0, 1.0))
         else:
@@ -127,6 +134,8 @@ class CayleyRetraction(Retraction):
                 f"rotation angle {worst:.6f} within {_ANGLE_GUARD:g} of pi; "
                 "the Cayley inverse is singular there -- use a smaller step h"
             )
+        if not so3:
+            return
         gp = np.asarray(g) + np.eye(3)
         cond = np.max(np.linalg.cond(gp))
         if cond > _COND_GUARD:

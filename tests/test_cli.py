@@ -127,6 +127,28 @@ def test_rigid_body_step_that_hits_its_cap_is_reported(tmp_path, monkeypatch):
     assert (tmp_path / "trajectory.csv").exists()
 
 
+def test_rigid_body_convergence_rejects_a_capped_step(tmp_path, monkeypatch,
+                                                     capsys):
+    real_step = discrete.dep_step
+    calls = []
+
+    def third_step_never_converges(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            kwargs["tol"] = 0.0  # no residual falls below zero
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(discrete, "dep_step", third_step_never_converges)
+    code = cli.main(
+        ["convergence", FRB_CONFIG, "--out-dir", str(tmp_path),
+         "--h-list", "0.08", "0.04", "0.02"]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "inner solve failed at h = 0.08: step 2 hit the Newton cap" in err
+    assert not (tmp_path / "convergence.csv").exists()
+
+
 def test_unequal_counts_raise_before_solving(tmp_path, monkeypatch):
     monkeypatch.setattr(ocp, "equation_count", lambda N, n, m: 110)
     args = cli.make_parser().parse_args(

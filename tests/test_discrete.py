@@ -12,14 +12,17 @@ from geovar.discrete import (
     DiscreteLagrangian,
     DiscretePath,
     del_residual_first_order,
+    DEP_MAX_ITER,
     dep_residual,
     dep_solve_path,
+    dep_step,
     discrete_momentum,
     dlp2_residual,
     dlp_k_residual,
     reconstruct,
 )
 from geovar.errors import SizeError
+from geovar.models import FreeRigidBody
 from geovar.retraction import CayleyRetraction
 
 
@@ -182,6 +185,55 @@ def test_dep_solve_path_conserves_body_momentum_transport():
     assert np.abs(res).max() < 1e-11
 
 
+def test_dep_solve_path_solves_the_right_trivialized_balance():
+    h = 0.05
+    retr = CayleyRetraction(groups.SO3)
+    grad = FreeRigidBody([1.0, 2.0, 3.0]).lhat_grad(h)
+    xi = dep_solve_path(grad, np.array([0.3, 0.2, 0.5]), 50, h, retr, RIGHT)
+    assert np.abs(dep_residual(grad, xi, h, retr, RIGHT)).max() < 1e-12
+
+
+def dep_step_column_loop(lhat_grad, xi_prev, h, retr, trivialization,
+                         tol=1e-13, max_iter=DEP_MAX_ITER):
+    """Reference Newton step: a full dep_residual call per residual and per
+    perturbed point, the Jacobian built one column at a time."""
+    d = xi_prev.shape[0]
+
+    def res(xi_next):
+        pair = np.stack([xi_prev, xi_next])
+        return dep_residual(lhat_grad, pair, h, retr, trivialization)[0]
+
+    x = xi_prev.copy()
+    iters = max_iter
+    for it in range(max_iter):
+        r = res(x)
+        if np.abs(r).max() < tol:
+            iters = it
+            break
+        J = np.empty((d, d))
+        for j in range(d):
+            dx = np.zeros(d)
+            dx[j] = 1e-7 * max(1.0, abs(x[j]))
+            J[:, j] = (res(x + dx) - res(x - dx)) / (2.0 * dx[j])
+        x = x - np.linalg.solve(J, r)
+    return x, iters
+
+
+@pytest.mark.parametrize("trivialization", [LEFT, RIGHT])
+@pytest.mark.parametrize("inertia", [[1.0, 2.0, 3.0], [0.4, 2.5, 7.0]])
+def test_dep_step_equals_the_column_loop(trivialization, inertia):
+    h = 0.05
+    retr = CayleyRetraction(groups.SO3)
+    grad = FreeRigidBody(inertia).lhat_grad(h)
+    rng = np.random.default_rng(7)
+    for xi_prev in rng.uniform(-2.0, 2.0, size=(20, 3)):
+        got = dep_step(grad, xi_prev, h, retr, trivialization,
+                       return_iterations=True)
+        want = dep_step_column_loop(grad, xi_prev, h, retr, trivialization)
+        assert np.array_equal(got[0], want[0])
+        assert got[1] == want[1]
+
+
 # -- discrete momentum map ---------------------------------------------------
 
 
@@ -216,6 +268,31 @@ def test_invariant_lagrangian_has_equal_plus_minus_momentum():
         jm = discrete_momentum(ld, ((None, g0), (None, g1)), xi, "minus", retr,
                                eps=1e-5)
         assert abs(jp - jm) < 1e-10
+
+
+@pytest.mark.parametrize("side", ["plus", "minus"])
+def test_stacked_momentum_equals_per_pair_calls(side):
+    h = 0.1
+    retr = CayleyRetraction(groups.SO3)
+    inertia = np.array([1.0, 2.0, 3.0])
+
+    def ld_one_pair(first, second):
+        xi = retr.tau_inv(np.linalg.solve(first[1], second[1])) / h
+        return 0.5 * h * float(xi @ (inertia * xi))
+
+    ld = FreeRigidBody(inertia).pair_eval(h, retr)
+    rng = np.random.default_rng(4)
+    g0 = retr.tau(rng.uniform(-1, 1, size=(12, 3)))
+    g1 = g0 @ retr.tau(rng.uniform(-0.2, 0.2, size=(12, 3)))
+    for xi in np.eye(3):
+        stacked = discrete_momentum(ld, ((None, g0), (None, g1)), xi, side, retr)
+        single = [
+            discrete_momentum(ld_one_pair, ((None, a), (None, b)), xi, side, retr)
+            for a, b in zip(g0, g1)
+        ]
+        assert isinstance(single[0], float)
+        assert stacked.shape == (12,)
+        assert np.array_equal(stacked, single)
 
 
 def test_momentum_invalid_side_rejected():

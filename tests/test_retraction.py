@@ -109,6 +109,16 @@ def test_tau_inv_singularity_guard_names_step_size():
             CayleyRetraction(tag).tau_inv(g)
 
 
+def test_se2_tau_inv_round_trip_far_from_the_identity():
+    # cond(e + g) grows like |t|^2 / 4 in SE(2), but the inverse is
+    # closed-form: a large translation is no singularity
+    retr = CayleyRetraction(groups.SE2)
+    for xi in ([0.0, 1e5, 0.0], [0.7, -1e5, 3e4]):
+        xi = np.array(xi)
+        back = retr.tau_inv(retr.tau(xi))
+        assert np.abs(back - xi).max() <= 1e-12 * np.abs(xi).max()
+
+
 def test_trunc_exp_inverse_round_trip():
     rng = np.random.default_rng(3)
     for tag in TAGS:
