@@ -6,7 +6,7 @@ control of underactuated systems.  See the README for the CLI and the
 module docstrings for the library API.
 """
 
-from . import cli, discrete, groups, models, ocp, oracle, retraction, solver
+from . import discrete, groups, models, ocp, oracle, retraction, solver
 from .errors import (
     ConfigError,
     DomainError,
@@ -20,7 +20,6 @@ from .errors import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "cli",
     "discrete",
     "groups",
     "models",

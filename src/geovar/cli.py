@@ -443,18 +443,16 @@ def fit_slope(hs, errs):
 
 
 def _convergence_ocp(cfg, args, h_list, T):
+    probs = [build_problem(cfg, N=_int_steps(T, hh), h=hh)[0] for hh in h_list]
+    retr = make_retraction(retraction_kind(cfg, args), probs[0].group_tag)
+    # Refinement studies compare trajectories at discretization-error
+    # scale; avoid grinding on the finite-difference Jacobian floor
+    # unless a tolerance was requested explicitly.
+    explicit_tol = _override(args, "tol", "GEOVAR_TOL", float) is not None
     solves = []
     prev = None
-    for hh in h_list:
-        N = _int_steps(T, hh)
-        prob, _ = build_problem(cfg, N=N, h=hh)
-        retr = make_retraction(retraction_kind(cfg, args), prob.group_tag)
+    for prob in probs:
         scfg = solver_config(cfg, args)
-        # Refinement studies compare trajectories at discretization-error
-        # scale; avoid grinding on the finite-difference Jacobian floor
-        # unless a tolerance was requested explicitly.
-        explicit_tol = getattr(args, "tol", None) is not None or \
-            os.environ.get("GEOVAR_TOL") is not None
         if not explicit_tol and scfg.tol_residual < 1e-8:
             scfg.tol_residual = 1e-8
         scfg.jacobian = ocp.make_jacobian_fn(prob, retr)
@@ -465,7 +463,7 @@ def _convergence_ocp(cfg, args, h_list, T):
             x0 = ocp.refine_guess(prev[0], prev[1], prob)
         result = solve(fn, x0, scfg)
         if not result.converged:
-            raise GeovarError(f"inner solve failed at h = {hh}: {result.message}")
+            raise GeovarError(f"inner solve failed at h = {prob.h}: {result.message}")
         solves.append((prob, ocp.solution_path(prob, result.x, retr)))
         prev = (prob, result.x)
     prob_f, path_f = solves[-1]

@@ -17,8 +17,7 @@ windows ``i = 0 .. N-k``.  Boundary nodes (the first and last ``k`` of the
 Evaluation callbacks are vectorized over windows: ``eval(qs, xis)`` with
 ``qs`` a tuple of ``k+1`` arrays of shape ``(B, n)`` and ``xis`` a tuple of
 ``k`` arrays of shape ``(B, d)`` returns shape ``(B,)`` (or ``(B, m)`` for
-constraint sets).  Non-invariant Lagrangians additionally receive the
-window base points as a ``(B, 3, 3)`` array.
+constraint sets).
 """
 
 from __future__ import annotations
@@ -47,10 +46,10 @@ class DiscreteLagrangian:
     order : int
         Stencil order ``k`` (number of algebra slots per window).
     eval : callable
-        ``eval(qs, xis)`` (or ``eval(qs, xis, gs)`` when not invariant),
-        vectorized over windows; returns shape ``(B,)``.
+        ``eval(qs, xis)``, vectorized over windows; returns shape ``(B,)``.
     group_invariant : bool
-        True when the value does not depend on the window base point in G.
+        Must be True (the default): only discrete Lagrangians that do not
+        depend on the window base point in G are supported.
     d_eval : callable, optional
         Analytic derivatives ``d_eval(qs, xis) -> (Dq_list, Dxi_list)``
         with the same shapes the finite-difference path produces.
@@ -60,6 +59,10 @@ class DiscreteLagrangian:
     eval: Callable
     group_invariant: bool = True
     d_eval: Optional[Callable] = None
+
+    def __post_init__(self):
+        if not self.group_invariant:
+            raise ValueError("only group-invariant discrete Lagrangians are supported")
 
 
 @dataclass
@@ -140,17 +143,14 @@ def _window_views(q_nodes, xi_nodes, k):
     return qs, xis, B
 
 
-def _augmented_eval(Ld, Phi, lambdas, gs=None):
+def _augmented_eval(Ld, Phi, lambdas):
     """Build f(slot_arrays) -> (B,) evaluating L_d + lambda . Phi_d."""
     k = Ld.order
 
     def f(arrays):
         qs = tuple(arrays[: k + 1])
         xis = tuple(arrays[k + 1 :])
-        if Ld.group_invariant:
-            val = Ld.eval(qs, xis)
-        else:
-            val = Ld.eval(qs, xis, gs)
+        val = Ld.eval(qs, xis)
         if Phi is not None:
             val = val + np.einsum("bm,bm->b", lambdas, Phi.eval(qs, xis))
         return val
@@ -158,7 +158,7 @@ def _augmented_eval(Ld, Phi, lambdas, gs=None):
     return f
 
 
-def _slot_gradients(Ld, Phi, lambdas, q_nodes, xi_nodes, gs=None):
+def _slot_gradients(Ld, Phi, lambdas, q_nodes, xi_nodes):
     """Per-slot derivatives of the augmented window value.
 
     Returns
@@ -182,7 +182,7 @@ def _slot_gradients(Ld, Phi, lambdas, q_nodes, xi_nodes, gs=None):
             ]
         return Dq, Dxi
     arrays = list(qs) + list(xis)
-    f = _augmented_eval(Ld, Phi, lambdas, gs)
+    f = _augmented_eval(Ld, Phi, lambdas)
     Dq = [slot_derivative(f, arrays, j) for j in range(k + 1)]
     Dxi = [slot_derivative(f, arrays, k + 1 + j) for j in range(k)]
     return Dq, Dxi
@@ -234,28 +234,6 @@ def group_chain_residual(S, xi_nodes, h, retr, trivialization, lo, hi):
     return res
 
 
-def _base_point_gradient(Ld, Phi, lambdas, q_nodes, xi_nodes, g_nodes, retr,
-                         trivialization, eps=1e-6):
-    """Left/right-trivialized derivative of the window value w.r.t. its base point."""
-    k = Ld.order
-    qs, xis, B = _window_views(q_nodes, xi_nodes, k)
-    gs = g_nodes[:B]
-    out = np.zeros((B, 3))
-    for j in range(3):
-        ej = np.zeros(3)
-        ej[j] = 1.0
-        step_p = retr.tau(eps * ej)
-        step_m = retr.tau(-eps * ej)
-        if trivialization == LEFT:
-            gp, gm = gs @ step_p, gs @ step_m
-        else:
-            gp, gm = step_p @ gs, step_m @ gs
-        fp = _augmented_eval(Ld, Phi, lambdas, gp)(list(qs) + list(xis))
-        fm = _augmented_eval(Ld, Phi, lambdas, gm)(list(qs) + list(xis))
-        out[:, j] = (fp - fm) / (2.0 * eps)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Residual assemblers
 # ---------------------------------------------------------------------------
@@ -281,12 +259,7 @@ def dlp_k_residual(Ld, Phi, path, retr, trivialization=LEFT):
             raise SizeError(
                 f"lambda_nodes must have shape {(N - k + 1, Phi.m)}, got {got}"
             )
-    gs = None
-    if not Ld.group_invariant:
-        if path.g_nodes is None:
-            raise SizeError("non-invariant Lagrangian requires g_nodes on the path")
-        gs = path.g_nodes[: N - k + 1]
-    Dq, Dxi = _slot_gradients(Ld, Phi, lambdas, path.q_nodes, path.xi_nodes, gs)
+    Dq, Dxi = _slot_gradients(Ld, Phi, lambdas, path.q_nodes, path.xi_nodes)
 
     n = path.q_nodes.shape[1]
     rows = N - 2 * k + 1
@@ -298,12 +271,6 @@ def dlp_k_residual(Ld, Phi, path, retr, trivialization=LEFT):
     res_g = group_chain_residual(
         S, path.xi_nodes, path.h, retr, trivialization, k, N - k
     )
-    if not Ld.group_invariant:
-        base = _base_point_gradient(
-            Ld, Phi, lambdas, path.q_nodes, path.xi_nodes, path.g_nodes,
-            retr, trivialization,
-        )
-        res_g = res_g + base[k : N - k + 1]
 
     if Phi is not None:
         qs, xis, _ = _window_views(path.q_nodes, path.xi_nodes, k)

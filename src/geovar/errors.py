@@ -6,7 +6,7 @@ class GeovarError(Exception):
 
 
 class TagMismatchError(GeovarError):
-    """Operands belong to different groups."""
+    """Group tag is neither ``"SE2"`` nor ``"SO3"``."""
 
 
 class AlgebraShapeError(GeovarError):

@@ -16,21 +16,15 @@ and ``(v2, v3)`` the translation rates::
 Note this differs from the common ``(x, y, theta)`` ordering.  so(3) uses
 the standard ``omega = (w1, w2, w3)`` with ``hat(omega) x = omega x x``.
 
-All low-level functions accept stacked inputs: vectors of shape ``(..., 3)``
+All functions accept stacked inputs: vectors of shape ``(..., 3)``
 and matrices of shape ``(..., 3, 3)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .errors import (
-    AlgebraShapeError,
-    GroupInvariantError,
-    TagMismatchError,
-)
+from .errors import AlgebraShapeError, GroupInvariantError, TagMismatchError
 
 SE2 = "SE2"
 SO3 = "SO3"
@@ -231,109 +225,3 @@ def renormalize(g, tag, trigger=_POLAR_TRIGGER):
     out[far] = so3_polar_project(g[far])
     return out
 
-
-# ---------------------------------------------------------------------------
-# Value types.  These wrap single (unbatched) elements with validation; the
-# residual assemblers work on raw stacked arrays via the functions above.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    """A validated group element (single 3x3 matrix)."""
-
-    matrix: np.ndarray
-    group_tag: str
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
-        if m.shape != (3, 3):
-            raise GroupInvariantError(f"expected 3x3 matrix, got {m.shape}")
-        check_matrix(m, self.group_tag)
-        object.__setattr__(self, "matrix", m)
-
-
-@dataclass(frozen=True)
-class AlgebraVector:
-    """Algebra coordinates (length-3 vector) tagged with the group."""
-
-    coords: np.ndarray
-    group_tag: str
-
-    def __post_init__(self):
-        _check_tag(self.group_tag)
-        c = np.array(self.coords, dtype=float)
-        if c.shape != (3,):
-            raise AlgebraShapeError(f"expected shape (3,), got {c.shape}")
-        object.__setattr__(self, "coords", c)
-
-
-@dataclass(frozen=True)
-class AlgebraCovector:
-    """Covector coordinates in the dual basis, tagged with the group."""
-
-    coords: np.ndarray
-    group_tag: str
-
-    def __post_init__(self):
-        _check_tag(self.group_tag)
-        c = np.array(self.coords, dtype=float)
-        if c.shape != (3,):
-            raise AlgebraShapeError(f"expected shape (3,), got {c.shape}")
-        object.__setattr__(self, "coords", c)
-
-    def pair(self, v: AlgebraVector) -> float:
-        if self.group_tag != v.group_tag:
-            raise TagMismatchError(f"{self.group_tag} vs {v.group_tag}")
-        return float(self.coords @ v.coords)
-
-
-def _same_tag(a, b):
-    if a.group_tag != b.group_tag:
-        raise TagMismatchError(f"{a.group_tag} vs {b.group_tag}")
-    return a.group_tag
-
-
-def compose(a: GroupElement, b: GroupElement) -> GroupElement:
-    tag = _same_tag(a, b)
-    return GroupElement(a.matrix @ b.matrix, tag)
-
-
-def inverse(g: GroupElement) -> GroupElement:
-    return GroupElement(inverse_matrix(g.matrix, g.group_tag), g.group_tag)
-
-
-def ad_star(xi: AlgebraVector, mu: AlgebraCovector) -> AlgebraCovector:
-    """Coadjoint action of the algebra: transpose of the ad matrix."""
-    tag = _same_tag(xi, mu)
-    return AlgebraCovector(ad_matrix(xi.coords, tag).T @ mu.coords, tag)
-
-
-def Ad_star(g: GroupElement, mu: AlgebraCovector) -> AlgebraCovector:
-    """Coadjoint action of the group: transpose of the Ad matrix."""
-    tag = _same_tag(g, mu)
-    return AlgebraCovector(Ad_matrix(g.matrix, tag).T @ mu.coords, tag)
-
-
-def ell_star(g: GroupElement, alpha: AlgebraCovector) -> AlgebraCovector:
-    """Pullback of a covector under left translation by g.
-
-    Covectors at a group point are carried in left-trivialized coordinates
-    (``<alpha, eta> = d/de F(x tau(e eta))`` at ``e = 0``).  In those
-    coordinates left translation acts trivially on the fibre, so the
-    pullback is the identity on coordinates.  Residual assembly therefore
-    expresses all transports through Ad* and the retraction tangents.
-    """
-    tag = _same_tag(g, alpha)
-    return AlgebraCovector(alpha.coords.copy(), tag)
-
-
-def r_star(g: GroupElement, alpha: AlgebraCovector) -> AlgebraCovector:
-    """Pullback of a left-trivialized covector under right translation by g.
-
-    Right translation shifts the left-trivialized fibre coordinates by
-    ``Ad_{g^-1}``, so the pullback on coordinates is ``Ad*_{g^-1}``.
-    """
-    tag = _same_tag(g, alpha)
-    gi = inverse_matrix(g.matrix, tag)
-    return AlgebraCovector(Ad_matrix(gi, tag).T @ alpha.coords, tag)

@@ -308,9 +308,7 @@ def discretize(prob):
             grads = prob.d_phi(q, dq, ddq, xi, dxi, window_times(q.shape[0]))
             return chain(*grads, scale=1.0)
 
-    Ld = DiscreteLagrangian(
-        order=K_ORDER, eval=ld, group_invariant=True, d_eval=d_ld
-    )
+    Ld = DiscreteLagrangian(order=K_ORDER, eval=ld, d_eval=d_ld)
     Phi = DiscreteConstraintSet(m=prob.m, eval=phid, d_eval=d_phid)
     return Ld, Phi
 

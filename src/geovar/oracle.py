@@ -38,11 +38,8 @@ def augmented_action(Ld, Phi, lambdas, q_nodes, g_nodes, h, retr,
     """Sum over windows of ``L_d + lambda . Phi_d`` as a function of group nodes."""
     k = Ld.order
     xi_nodes = xi_from_group(g_nodes, h, retr, trivialization)
-    qs, xis, B = _window_views(q_nodes, xi_nodes, k)
-    if Ld.group_invariant:
-        vals = Ld.eval(tuple(qs), tuple(xis))
-    else:
-        vals = Ld.eval(tuple(qs), tuple(xis), g_nodes[:B])
+    qs, xis, _ = _window_views(q_nodes, xi_nodes, k)
+    vals = Ld.eval(tuple(qs), tuple(xis))
     if Phi is not None:
         vals = vals + np.einsum("bm,bm->b", lambdas, Phi.eval(tuple(qs), tuple(xis)))
     return float(np.sum(vals))

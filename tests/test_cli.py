@@ -1,6 +1,9 @@
 """Command-line interface tests."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -149,6 +152,38 @@ def test_rigid_body_convergence_rejects_a_capped_step(tmp_path, monkeypatch,
     assert not (tmp_path / "convergence.csv").exists()
 
 
+class _StopRun(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "flags, env, expected",
+    [([], None, 1e-8), (["--tol", "1e-10"], None, 1e-10), ([], "1e-10", 1e-10)],
+)
+def test_convergence_floors_the_tolerance_unless_one_is_given(
+    tmp_path, monkeypatch, flags, env, expected
+):
+    """The fixture asks for 1e-10; a refinement study floors it at 1e-8
+    unless ``--tol`` or ``GEOVAR_TOL`` sets it."""
+    tols = []
+
+    def first_rung_only(fn, x0, cfg):
+        tols.append(cfg.tol_residual)
+        raise _StopRun
+
+    monkeypatch.setattr(cli, "solve", first_rung_only)
+    if env is None:
+        monkeypatch.delenv("GEOVAR_TOL", raising=False)
+    else:
+        monkeypatch.setenv("GEOVAR_TOL", env)
+    with pytest.raises(_StopRun):
+        cli.main(
+            ["convergence", SE2_CONFIG, "--out-dir", str(tmp_path),
+             "--h-list", "0.1", "0.05", "0.025", *flags]
+        )
+    assert tols == [expected]
+
+
 def test_unequal_counts_raise_before_solving(tmp_path, monkeypatch):
     monkeypatch.setattr(ocp, "equation_count", lambda N, n, m: 110)
     args = cli.make_parser().parse_args(
@@ -277,3 +312,15 @@ def test_convergence_rigid_body_second_order(tmp_path, capsys):
     # errors shrink monotonically over the compared runs
     errs = [float(r[1]) for r in rows[:-1]]
     assert errs == sorted(errs, reverse=True)
+
+
+def test_module_entry_point_runs_without_a_runtime_warning():
+    """``python -m geovar.cli`` must not find the module already imported
+    by the package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "geovar.cli", "--help"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr

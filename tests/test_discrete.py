@@ -379,6 +379,11 @@ def test_size_and_shape_validation():
         dlp2_residual(synthetic_pair(12, k=1)[0], path, retr)
 
 
+def test_non_invariant_lagrangian_is_rejected():
+    with pytest.raises(ValueError, match="only group-invariant"):
+        DiscreteLagrangian(order=2, eval=lambda qs, xis: 0.0, group_invariant=False)
+
+
 # -- reconstruction ----------------------------------------------------------
 
 
