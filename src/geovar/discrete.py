@@ -18,6 +18,12 @@ Evaluation callbacks are vectorized over windows: ``eval(qs, xis)`` with
 ``qs`` a tuple of ``k+1`` arrays of shape ``(B, n)`` and ``xis`` a tuple of
 ``k`` arrays of shape ``(B, d)`` returns shape ``(B,)`` (or ``(B, m)`` for
 constraint sets).
+
+:func:`dlp_k_residual` also takes a stack of ``P`` paths at once (node
+arrays with a leading axis, ``(P, N+1, n)``).  The callbacks then receive
+windows of shape ``(P, B, n)`` and return ``(P, B)`` (or ``(P, B, m)``);
+callbacks that evaluate each window on its own give every path of the
+stack the residual it has alone.
 """
 
 from __future__ import annotations
@@ -85,6 +91,7 @@ class DiscretePath:
 
     ``q_nodes``: (N+1, n); ``xi_nodes``: (N, d); ``lambda_nodes``:
     (N-k+1, m) or None; ``g_nodes``: (N+1, 3, 3) or None; ``h``: step size.
+    The node arrays may share a leading stack axis of paths.
     """
 
     q_nodes: np.ndarray
@@ -95,7 +102,7 @@ class DiscretePath:
 
     @property
     def N(self):
-        return self.q_nodes.shape[0] - 1
+        return self.q_nodes.shape[-2] - 1
 
 
 # ---------------------------------------------------------------------------
@@ -111,40 +118,39 @@ def slot_derivative(f, arrays, slot):
     f : callable
         Takes the full list of slot arrays, returns shape ``(B,)``.
     arrays : list of ndarray
-        Slot arrays; ``arrays[slot]`` has shape ``(B, n)``.
+        Slot arrays; ``arrays[slot]`` has shape ``(..., B, n)``.
     slot : int
 
     Returns
     -------
-    ndarray, shape (B, n)
+    ndarray, shape (..., B, n)
     """
     base = arrays[slot]
-    B, n = base.shape
-    out = np.empty((B, n))
-    for c in range(n):
-        step = FD_STEP * np.maximum(1.0, np.abs(base[:, c]))
+    out = np.empty(base.shape)
+    for c in range(base.shape[-1]):
+        step = FD_STEP * np.maximum(1.0, np.abs(base[..., c]))
         hi = list(arrays)
         lo = list(arrays)
         pert = base.copy()
-        pert[:, c] = base[:, c] + step
+        pert[..., c] = base[..., c] + step
         hi[slot] = pert
         pert = base.copy()
-        pert[:, c] = base[:, c] - step
+        pert[..., c] = base[..., c] - step
         lo[slot] = pert
-        out[:, c] = (f(hi) - f(lo)) / (2.0 * step)
+        out[..., c] = (f(hi) - f(lo)) / (2.0 * step)
     return out
 
 
 def _window_views(q_nodes, xi_nodes, k):
-    N = q_nodes.shape[0] - 1
+    N = q_nodes.shape[-2] - 1
     B = N - k + 1
-    qs = [q_nodes[j : j + B] for j in range(k + 1)]
-    xis = [xi_nodes[j : j + B] for j in range(k)]
+    qs = [q_nodes[..., j : j + B, :] for j in range(k + 1)]
+    xis = [xi_nodes[..., j : j + B, :] for j in range(k)]
     return qs, xis, B
 
 
 def _augmented_eval(Ld, Phi, lambdas):
-    """Build f(slot_arrays) -> (B,) evaluating L_d + lambda . Phi_d."""
+    """Build f(slot_arrays) -> (..., B) evaluating L_d + lambda . Phi_d."""
     k = Ld.order
 
     def f(arrays):
@@ -152,7 +158,7 @@ def _augmented_eval(Ld, Phi, lambdas):
         xis = tuple(arrays[k + 1 :])
         val = Ld.eval(qs, xis)
         if Phi is not None:
-            val = val + np.einsum("bm,bm->b", lambdas, Phi.eval(qs, xis))
+            val = val + np.einsum("...m,...m->...", lambdas, Phi.eval(qs, xis))
         return val
 
     return f
@@ -163,8 +169,8 @@ def _slot_gradients(Ld, Phi, lambdas, q_nodes, xi_nodes):
 
     Returns
     -------
-    Dq : list of k+1 arrays (B, n)
-    Dxi : list of k arrays (B, d)
+    Dq : list of k+1 arrays (..., B, n)
+    Dxi : list of k arrays (..., B, d)
     """
     k = Ld.order
     qs, xis, _ = _window_views(q_nodes, xi_nodes, k)
@@ -173,11 +179,11 @@ def _slot_gradients(Ld, Phi, lambdas, q_nodes, xi_nodes):
         if Phi is not None:
             PDq, PDxi = Phi.d_eval(tuple(qs), tuple(xis))
             Dq = [
-                Dq[j] + np.einsum("bm,bmn->bn", lambdas, PDq[j])
+                Dq[j] + np.einsum("...m,...mn->...n", lambdas, PDq[j])
                 for j in range(k + 1)
             ]
             Dxi = [
-                Dxi[j] + np.einsum("bm,bmn->bn", lambdas, PDxi[j])
+                Dxi[j] + np.einsum("...m,...mn->...n", lambdas, PDxi[j])
                 for j in range(k)
             ]
         return Dq, Dxi
@@ -191,24 +197,26 @@ def _slot_gradients(Ld, Phi, lambdas, q_nodes, xi_nodes):
 def xi_slot_totals(Dxi, N, k):
     """Accumulate window-slot derivatives into per-node totals S_m.
 
-    ``S[m]`` is the derivative of the action with respect to algebra node
-    ``xi_m`` (each node appears in up to ``k`` windows).
+    ``S[..., m, :]`` is the derivative of the action with respect to
+    algebra node ``xi_m`` (each node appears in up to ``k`` windows).
     """
-    d = Dxi[0].shape[1]
-    B = Dxi[0].shape[0]
-    S = np.zeros((N, d))
+    B, d = Dxi[0].shape[-2:]
+    S = np.zeros(Dxi[0].shape[:-2] + (N, d))
     for j in range(k):
-        S[j : j + B] += Dxi[j]
+        S[..., j : j + B, :] += Dxi[j]
     return S
 
 
 def _transported(S, xi, h, retr):
     """Momenta ``(dtau^-1_{h xi_m})* S_m`` and their transports by
-    ``Ad*_{W_m}``, ``W_m = tau(h xi_m)``, one row per algebra node ``m``."""
-    hxi = h * xi
-    Dinv_T_S = np.einsum("mji,mj->mi", retr.dtau_inv_matrix(hxi), S)
+    ``Ad*_{W_m}``, ``W_m = tau(h xi_m)``, one row per algebra node ``m``.
+    Stacked nodes ``(..., M, d)`` are flattened to rows and restored."""
+    d = xi.shape[-1]
+    hxi = (h * xi).reshape(-1, d)
+    Dinv_T_S = np.einsum("mji,mj->mi", retr.dtau_inv_matrix(hxi), S.reshape(-1, d))
     AdW = groups.Ad_matrix(retr.tau(hxi), retr.group_tag)
-    return Dinv_T_S, np.einsum("mji,mj->mi", AdW, Dinv_T_S)
+    carried = np.einsum("mji,mj->mi", AdW, Dinv_T_S)
+    return Dinv_T_S.reshape(xi.shape), carried.reshape(xi.shape)
 
 
 def group_chain_residual(S, xi_nodes, h, retr, trivialization, lo, hi):
@@ -226,9 +234,9 @@ def group_chain_residual(S, xi_nodes, h, retr, trivialization, lo, hi):
     """
     Dinv_T_S, carried = _transported(S, xi_nodes, h, retr)
     if trivialization == LEFT:
-        res = (carried[lo - 1 : hi] - Dinv_T_S[lo : hi + 1]) / h
+        res = (carried[..., lo - 1 : hi, :] - Dinv_T_S[..., lo : hi + 1, :]) / h
     elif trivialization == RIGHT:
-        res = (Dinv_T_S[lo - 1 : hi] - carried[lo : hi + 1]) / h
+        res = (Dinv_T_S[..., lo - 1 : hi, :] - carried[..., lo : hi + 1, :]) / h
     else:
         raise ValueError(f"unknown trivialization {trivialization!r}")
     return res
@@ -247,6 +255,9 @@ def dlp_k_residual(Ld, Phi, path, retr, trivialization=LEFT):
     res_q : (N-2k+1, n)   stationarity in M, nodes i = k..N-k
     res_g : (N-2k+1, d)   stationarity in the group, same nodes
     res_phi : (N-k+1, m)  constraint values per window (empty if Phi is None)
+
+    A path whose node arrays carry a leading stack axis gives residuals
+    with that axis.
     """
     k = Ld.order
     N = path.N
@@ -254,18 +265,17 @@ def dlp_k_residual(Ld, Phi, path, retr, trivialization=LEFT):
         raise SizeError(f"need N > 2k, got N={N}, k={k}")
     lambdas = path.lambda_nodes
     if Phi is not None:
-        if lambdas is None or lambdas.shape != (N - k + 1, Phi.m):
+        if lambdas is None or lambdas.shape[-2:] != (N - k + 1, Phi.m):
             got = None if lambdas is None else lambdas.shape
             raise SizeError(
                 f"lambda_nodes must have shape {(N - k + 1, Phi.m)}, got {got}"
             )
     Dq, Dxi = _slot_gradients(Ld, Phi, lambdas, path.q_nodes, path.xi_nodes)
 
-    n = path.q_nodes.shape[1]
-    rows = N - 2 * k + 1
-    res_q = np.zeros((rows, n))
+    lead = path.q_nodes.shape[:-2]
+    res_q = np.zeros(lead + (N - 2 * k + 1, path.q_nodes.shape[-1]))
     for j in range(k + 1):
-        res_q += Dq[j][k - j : N - k - j + 1]
+        res_q += Dq[j][..., k - j : N - k - j + 1, :]
 
     S = xi_slot_totals(Dxi, N, k)
     res_g = group_chain_residual(
@@ -276,7 +286,7 @@ def dlp_k_residual(Ld, Phi, path, retr, trivialization=LEFT):
         qs, xis, _ = _window_views(path.q_nodes, path.xi_nodes, k)
         res_phi = Phi.eval(tuple(qs), tuple(xis))
     else:
-        res_phi = np.zeros((N - k + 1, 0))
+        res_phi = np.zeros(lead + (N - k + 1, 0))
     return res_q, res_g, res_phi
 
 

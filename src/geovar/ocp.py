@@ -17,9 +17,11 @@ trivial bundle M x G:
    algebra closure and the constraint windows into one square system whose
    unknowns are laid out as ``[q_2..q_{N-2} | xi_1..xi_{N-2} | lambda^0..
    lambda^{N-2}]``.
-5. :func:`make_jacobian_fn` differences that system column group by column
-   group over its three-node stencil incidence, and the 3 closure rows
-   column by column.
+5. :func:`make_jacobian_fn` differences that system over column groups of
+   its three-node stencil incidence: the local rows at the perturbations of
+   all groups come from 2 stacked evaluations of the same assembler
+   (:func:`local_residual`), and the 3 closure rows from ``6 (N-2)``
+   closure-only chain steps.
 """
 
 from __future__ import annotations
@@ -267,19 +269,30 @@ def discretize(prob):
     """Discrete Lagrangian (scaled by h) and constraint set on the stencils.
 
     Window ``w`` is evaluated at time ``t_w = (w+1) h`` (the center node).
+    Windows of a stack of paths, ``(P, B, n)``, reach the model callbacks as
+    ``P B`` rows with the window times repeated per path.
     """
     h = prob.h
 
-    def window_times(B):
-        return (np.arange(B) + 1.0) * h
+    def rows(qs, xis):
+        """Stencil point as ``(rows, .)`` arrays, their times and the window shape."""
+        point = stencil_point(qs, xis, h)
+        lead = point[0].shape[:-1]
+        flat = [a.reshape(-1, a.shape[-1]) for a in point]
+        B = lead[-1]
+        t = np.tile((np.arange(B) + 1.0) * h, flat[0].shape[0] // B)
+        return flat, t, lead
+
+    def unflatten(arrays, lead):
+        return [a.reshape(lead + a.shape[1:]) for a in arrays]
 
     def ld(qs, xis):
-        q, dq, ddq, xi, dxi = stencil_point(qs, xis, h)
-        return h * prob.ltilde(q, dq, ddq, xi, dxi, window_times(q.shape[0]))
+        flat, t, lead = rows(qs, xis)
+        return h * prob.ltilde(*flat, t).reshape(lead)
 
     def phid(qs, xis):
-        q, dq, ddq, xi, dxi = stencil_point(qs, xis, h)
-        return prob.phi(q, dq, ddq, xi, dxi, window_times(q.shape[0]))
+        flat, t, lead = rows(qs, xis)
+        return prob.phi(*flat, t).reshape(lead + (prob.m,))
 
     def chain(gq, gdq, gddq, gxi, gdxi, scale):
         # slot derivatives of the stencil composition
@@ -298,15 +311,13 @@ def discretize(prob):
     d_phid = None
     if prob.d_ltilde is not None:
         def d_ld(qs, xis):
-            q, dq, ddq, xi, dxi = stencil_point(qs, xis, h)
-            grads = prob.d_ltilde(q, dq, ddq, xi, dxi, window_times(q.shape[0]))
-            return chain(*grads, scale=h)
+            flat, t, lead = rows(qs, xis)
+            return chain(*unflatten(prob.d_ltilde(*flat, t), lead), scale=h)
 
     if prob.d_phi is not None:
         def d_phid(qs, xis):
-            q, dq, ddq, xi, dxi = stencil_point(qs, xis, h)
-            grads = prob.d_phi(q, dq, ddq, xi, dxi, window_times(q.shape[0]))
-            return chain(*grads, scale=1.0)
+            flat, t, lead = rows(qs, xis)
+            return chain(*unflatten(prob.d_phi(*flat, t), lead), scale=1.0)
 
     Ld = DiscreteLagrangian(order=K_ORDER, eval=ld, d_eval=d_ld)
     Phi = DiscreteConstraintSet(m=prob.m, eval=phid, d_eval=d_phid)
@@ -386,21 +397,26 @@ def boundary_nodes(prob):
 
 
 def scatter(prob, x):
-    """Flat unknown vector -> DiscretePath with boundary nodes injected."""
+    """Flat unknown vector -> DiscretePath with boundary nodes injected.
+
+    A ``(P, total)`` stack of vectors gives a path whose node arrays carry
+    the leading axis ``P``.
+    """
     lay = layout(prob)
-    if x.shape != (lay.total,):
+    if x.ndim not in (1, 2) or x.shape[-1] != lay.total:
         raise SizeError(f"expected flat vector of length {lay.total}, got {x.shape}")
     N, n, m = prob.N, prob.n, prob.m
+    lead = x.shape[:-1]
     q_first, q_last, xi_first, xi_last = boundary_nodes(prob)
-    q_nodes = np.empty((N + 1, n))
-    q_nodes[0:2] = q_first
-    q_nodes[2 : N - 1] = x[lay.q_slice].reshape(N - 3, n)
-    q_nodes[N - 1 : N + 1] = q_last
-    xi_nodes = np.empty((N, 3))
-    xi_nodes[0] = xi_first
-    xi_nodes[1 : N - 1] = x[lay.xi_slice].reshape(N - 2, 3)
-    xi_nodes[N - 1] = xi_last
-    lam = x[lay.lam_slice].reshape(N - 1, m)
+    q_nodes = np.empty(lead + (N + 1, n))
+    q_nodes[..., 0:2, :] = q_first
+    q_nodes[..., 2 : N - 1, :] = x[..., lay.q_slice].reshape(lead + (N - 3, n))
+    q_nodes[..., N - 1 : N + 1, :] = q_last
+    xi_nodes = np.empty(lead + (N, 3))
+    xi_nodes[..., 0, :] = xi_first
+    xi_nodes[..., 1 : N - 1, :] = x[..., lay.xi_slice].reshape(lead + (N - 2, 3))
+    xi_nodes[..., N - 1, :] = xi_last
+    lam = x[..., lay.lam_slice].reshape(lead + (N - 1, m))
     return DiscretePath(
         q_nodes=q_nodes, xi_nodes=xi_nodes, h=prob.h, lambda_nodes=lam
     )
@@ -474,12 +490,32 @@ def full_residual(prob, x, retr, Ld=None, Phi=None):
     if Ld is None or Phi is None:
         Ld, Phi = discretize(prob)
     path = scatter(prob, x)
+    closure, _ = closure_residual(prob, path.xi_nodes, retr)
+    return _assemble(prob, path, retr, Ld, Phi, closure)
+
+
+def local_residual(prob, x, retr, Ld, Phi):
+    """The rows of :func:`full_residual` with zeros in the 3 closure rows,
+    for each vector of a ``(P, total)`` stack ``x`` (or for one vector).
+
+    The closure rows see every ``xi`` through a sequential reconstruction;
+    :func:`make_jacobian_fn` differences them separately.
+    """
+    return _assemble(
+        prob, scatter(prob, x), retr, Ld, Phi, np.zeros(x.shape[:-1] + (3,))
+    )
+
+
+def _assemble(prob, path, retr, Ld, Phi, closure):
+    """Residual rows of a (possibly stacked) path around the given closure rows."""
     res_q, res_g, res_phi = discrete.dlp_k_residual(
         Ld, Phi, path, retr, prob.trivialization
     )
-    closure, _ = closure_residual(prob, path.xi_nodes, retr)
+    lead = closure.shape[:-1]
     return np.concatenate(
-        [res_q.ravel(), res_g.ravel(), closure, res_phi.ravel()]
+        [res_q.reshape(lead + (-1,)), res_g.reshape(lead + (-1,)), closure,
+         res_phi.reshape(lead + (-1,))],
+        axis=-1,
     )
 
 
@@ -564,13 +600,21 @@ def make_jacobian_fn(prob, retr):
     """Jacobian of ``make_residual_fn(prob, retr)`` with the signature of
     :func:`solver.fd_jacobian`, whose dense result it reproduces bit for bit.
 
-    The columns are colored once over :func:`jacobian_incidence`, so one
-    Jacobian costs 2 residual calls per column group (a count independent
-    of N) plus ``6 (N-2)`` closure-only evaluations.
+    The columns are colored once over :func:`jacobian_incidence`.  One
+    Jacobian is 2 stacked :func:`local_residual` evaluations, one over the
+    "+" and one over the "-" perturbations of every column group, plus
+    ``6 (N-2)`` closure-only chain steps.  The residual function handed to
+    the Jacobian is not called; it must be ``make_residual_fn(prob, retr)``.
     """
     incidence = jacobian_incidence(prob)
+    Ld, Phi = discretize(prob)
+
+    def local_rows(X):
+        return local_residual(prob, X, retr, Ld, Phi)
+
     pattern = solver.ColumnGroups(
-        incidence, solver.greedy_column_groups(incidence), _closure_fill(prob, retr)
+        incidence, solver.greedy_column_groups(incidence),
+        _closure_fill(prob, retr), local_rows,
     )
 
     def jacobian(residual_fn, x, step=solver.FD_STEP):

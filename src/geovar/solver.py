@@ -3,10 +3,12 @@
 :func:`fd_jacobian` builds the Jacobian by central differences.  Dense, it
 costs 2 residual calls per column.  Given a :class:`ColumnGroups` sparsity
 it perturbs whole groups of structurally orthogonal columns at once
-(Curtis, Powell & Reid 1974) and returns the same matrix bit for bit; for
-the optimal-control system (:func:`geovar.ocp.make_jacobian_fn`) that is 2
-residual calls per column group, a number that does not depend on N, plus
-6 (N-2) evaluations of the 3 terminal-closure rows alone.
+(Curtis, Powell & Reid 1974) and returns the same matrix bit for bit.  The
+"+" and the "-" perturbations of all groups are evaluated as two stacks; a
+pattern with a stacked evaluator answers each stack in one call.  For the
+optimal-control system (:func:`geovar.ocp.make_jacobian_fn`) a Jacobian is
+therefore 2 stacked evaluations of the local rows plus 6 (N-2) closure-only
+chain steps for the 3 terminal-closure rows.
 """
 
 from __future__ import annotations
@@ -35,11 +37,16 @@ class ColumnGroups:
     one residual pair differences them all.  Rows with no incidence (rows
     too dense to group) are written by ``fill(x, steps, J)`` from cheaper
     evaluations of its own.
+
+    ``stacked(X)``, when given, returns the residual rows at every row of a
+    ``(P, n)`` stack of points as a ``(P, rows)`` array, in place of one
+    residual call per point; it may leave the rows ``fill`` writes at zero.
     """
 
     incidence: np.ndarray
     groups: List[np.ndarray]
     fill: Optional[Callable] = None
+    stacked: Optional[Callable] = None
 
 
 def greedy_column_groups(incidence):
@@ -60,9 +67,12 @@ def fd_jacobian(residual_fn, x, step=FD_STEP, pattern=None):
     """Central-difference Jacobian; column j uses ``step * max(1, |x_j|)``.
 
     Without a ``pattern`` every column is its own group.  With a
-    :class:`ColumnGroups` pattern each group costs 2 residual calls and each
-    column's difference is written into its incidence rows only, so the
-    result equals the dense one exactly when the incidence is complete.
+    :class:`ColumnGroups` pattern each group costs 2 residual evaluations
+    and each column's difference is written into its incidence rows only,
+    so the result equals the dense one exactly when the incidence is
+    complete.  The points of all groups are evaluated as two stacks, "+"
+    and "-": by ``pattern.stacked`` in one call each, or else by
+    ``residual_fn`` point by point.
     """
     x = np.asarray(x, dtype=float)
     if pattern is None:
@@ -71,16 +81,24 @@ def fd_jacobian(residual_fn, x, step=FD_STEP, pattern=None):
             np.ones((rows, x.size), dtype=bool),
             [np.array([j]) for j in range(x.size)],
         )
+    stacked = pattern.stacked
+    if stacked is None:
+        def stacked(X):
+            return np.stack([np.asarray(residual_fn(p)) for p in X])
+
     steps = step * np.maximum(1.0, np.abs(x))
+    # point g of each stack moves the columns of group g
+    point = np.repeat(np.arange(len(pattern.groups)), [c.size for c in pattern.groups])
+    cols = np.concatenate(pattern.groups)
+    xp = np.tile(x, (len(pattern.groups), 1))
+    xm = xp.copy()
+    xp[point, cols] += steps[cols]
+    xm[point, cols] -= steps[cols]
+    diff = stacked(xp) - stacked(xm)
     J = np.zeros((pattern.incidence.shape[0], x.size))
-    for cols in pattern.groups:
-        xp = x.copy()
-        xm = x.copy()
-        xp[cols] += steps[cols]
-        xm[cols] -= steps[cols]
-        diff = np.asarray(residual_fn(xp)) - np.asarray(residual_fn(xm))
+    for g, cols in enumerate(pattern.groups):
         J[:, cols] = np.where(
-            pattern.incidence[:, cols], diff[:, None] / (2.0 * steps[cols]), 0.0
+            pattern.incidence[:, cols], diff[g][:, None] / (2.0 * steps[cols]), 0.0
         )
     if pattern.fill is not None:
         pattern.fill(x, steps, J)

@@ -292,6 +292,21 @@ def test_convergence_needs_three_geometric_steps(tmp_path, capsys):
     assert "geometric" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config", [SE2_CONFIG, FRB_CONFIG])
+@pytest.mark.parametrize(
+    "h_list", [["-0.1", "-0.05", "-0.025"], ["0", "0", "0"]]
+)
+def test_convergence_rejects_non_positive_step_sizes(tmp_path, capsys, config, h_list):
+    code = cli.main(
+        ["convergence", config, "--out-dir", str(tmp_path), "--h-list", *h_list]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config field 'h-list'" in err
+    assert "must be positive" in err
+    assert not (tmp_path / "convergence.csv").exists()
+
+
 def test_convergence_rigid_body_second_order(tmp_path, capsys):
     code = cli.main(
         ["convergence", FRB_CONFIG, "--out-dir", str(tmp_path),

@@ -1,5 +1,6 @@
 """Optimal-control layer tests: reduction, stencils, layout, residual."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geovar import cli, groups, models, ocp
+from geovar import cli, discrete, groups, models, ocp, solver
 from geovar.errors import IllPosedBasisError, SizeError
 from geovar.ocp import (
     BoundaryData,
@@ -422,6 +423,76 @@ def test_column_group_count_does_not_grow_with_N(name):
     ]
     assert counts[0] == counts[1]
     assert counts[0] < layout(fixture_problem(name, 20)[0]).total / 2
+
+
+def time_dependent_ball(N, h, trivialization):
+    """Ball problem on a plate whose angular velocity varies in time, so
+    every window's rows depend on the window time."""
+    params = models.BallPlateParams(
+        omega=lambda t: 1.0 + 0.5 * np.sin(t),
+        domega=lambda t: 0.5 * np.cos(t),
+        ddomega=lambda t: -0.5 * np.sin(t),
+    )
+    return models.ball_plate_problem(params, ball_boundary(), N, h, trivialization)
+
+
+@pytest.mark.parametrize("retraction", ["cayley", "exp4"])
+@pytest.mark.parametrize("case", ["ball-right", "ball-left", "vehicle"])
+def test_stacked_local_rows_equal_full_residual_rows(case, retraction):
+    """Each row of a stacked local evaluation is the full residual at that
+    point with its 3 closure rows zeroed, bit for bit; a time-dependent
+    plate makes the window times of every path count."""
+    if case == "vehicle":
+        prob = se2_problem(N=12)
+    else:
+        prob = time_dependent_ball(12, 0.25, case.split("-")[1])
+    retr = make_retraction(retraction, prob.group_tag)
+    Ld, Phi = discretize(prob)
+    rng = np.random.default_rng(3)
+    X = initial_guess(prob, retr) + 0.05 * rng.normal(size=(5, layout(prob).total))
+    R = ocp.local_residual(prob, X, retr, Ld, Phi)
+    closure_row = (prob.N - 3) * (prob.n + 3)
+    assert R.shape == X.shape
+    for x, rows in zip(X, R):
+        full = ocp.full_residual(prob, x, retr)
+        full[closure_row : closure_row + 3] = 0.0
+        assert np.array_equal(rows, full)
+
+
+@pytest.mark.parametrize("N", [20, 80])
+def test_one_jacobian_is_two_stacked_evaluations(monkeypatch, N):
+    """The grouped Jacobian never calls the residual function: it evaluates
+    the "+" and the "-" perturbations of all column groups as one stack
+    each, and each stack is one assembly."""
+    prob, retr = fixture_problem("se2_vehicle.json", N)
+    fn_calls, stacks, assemblies = [], [], []
+    fd_jacobian_real = solver.fd_jacobian
+    dlp_k_real = discrete.dlp_k_residual
+
+    def fn(x):
+        fn_calls.append(x)
+        return ocp.full_residual(prob, x, retr)
+
+    def counting_assembly(*args):
+        assemblies.append(args[2].q_nodes.shape)
+        return dlp_k_real(*args)
+
+    def counting(residual_fn, x, step, pattern):
+        def stacked(X):
+            stacks.append(X.shape)
+            return pattern.stacked(X)
+
+        return fd_jacobian_real(
+            residual_fn, x, step, dataclasses.replace(pattern, stacked=stacked)
+        )
+
+    monkeypatch.setattr(solver, "fd_jacobian", counting)
+    monkeypatch.setattr(discrete, "dlp_k_residual", counting_assembly)
+    ocp.make_jacobian_fn(prob, retr)(fn, initial_guess(prob, retr))
+    groups_count = len(greedy_column_groups(ocp.jacobian_incidence(prob)))
+    assert fn_calls == []
+    assert stacks == [(groups_count, layout(prob).total)] * 2
+    assert assemblies == [(groups_count, N + 1, prob.n)] * 2
 
 
 def test_ball_solve_is_identical_with_grouped_and_dense_jacobians():

@@ -75,6 +75,31 @@ def test_grouped_fd_jacobian_matches_dense_on_a_banded_residual():
     assert np.array_equal(J, fd_jacobian(residual, x))
 
 
+def test_stacked_evaluator_answers_each_stack_in_one_call():
+    """A pattern's stacked evaluator sees two (groups, n) stacks, "+" then
+    "-", and the Jacobian equals the one built point by point."""
+
+    def residual(x):
+        r = np.cos(x) * x
+        r[1:] -= x[:-1] ** 2
+        return r
+
+    x = np.random.default_rng(6).normal(size=9)
+    band = np.tril(np.triu(np.ones((9, 9), dtype=bool)), 1).T
+    groups = greedy_column_groups(band)
+    stacks = []
+
+    def stacked(X):
+        stacks.append(X.copy())
+        return np.stack([residual(p) for p in X])
+
+    J = fd_jacobian(residual, x, pattern=ColumnGroups(band, groups, stacked=stacked))
+    assert np.array_equal(J, fd_jacobian(residual, x, pattern=ColumnGroups(band, groups)))
+    assert np.array_equal(J, fd_jacobian(residual, x))
+    assert [X.shape for X in stacks] == [(len(groups), 9)] * 2
+    assert np.all(stacks[0] >= x) and np.all(stacks[1] <= x)
+
+
 def test_fd_jacobian_agrees_with_model_supplied_path():
     """Dual-path check: the finite-difference Jacobian matches a hand-coded
     analytic Jacobian elementwise, and both solver modes find the same root."""
