@@ -520,9 +520,7 @@ def cmd_oracle(args):
     N = min(cfg["N"], 9)
     prob, _ = build_problem(cfg, N=N)
     retr = make_retraction(retraction_kind(cfg, args), prob.group_tag)
-    worst, block = oracle_discrepancy(
-        prob, retr, seed=args.seed, flip_block=getattr(args, "flip_block", None)
-    )
+    worst, block = oracle_discrepancy(prob, retr, seed=args.seed)
     ok = worst <= 1e-6
     verdict = "pass" if ok else f"FAIL (worst block: {block})"
     print(f"oracle max discrepancy {worst:.3e} -> {verdict}")
@@ -551,13 +549,9 @@ def jacobian_discrepancy(prob, retr, x):
     return float(gap[worst]), tuple(int(i) for i in worst)
 
 
-def oracle_discrepancy(prob, retr, seed=0, flip_block=None):
+def oracle_discrepancy(prob, retr, seed=0):
     """Compare assembled stationarity rows with the independent action
-    gradient at a seeded random interior point.
-
-    ``flip_block`` (``"base"`` or ``"group"``) negates one assembled block
-    — a negative-control hook used by the test suite.
-    """
+    gradient at a seeded random interior point."""
     path = ocp.scatter(prob, oracle_point(prob, retr, seed))
     b = prob.boundary
     path.g_nodes = discrete.reconstruct(
@@ -567,10 +561,6 @@ def oracle_discrepancy(prob, retr, seed=0, flip_block=None):
     res_q, res_g, _ = discrete.dlp_k_residual(
         Ld, Phi, path, retr, prob.trivialization
     )
-    if flip_block == "base":
-        res_q = -res_q
-    elif flip_block == "group":
-        res_g = -res_g
     grad_q, grad_g = oracle.action_gradient_fd(
         Ld, Phi, path, retr, prob.trivialization
     )
@@ -610,7 +600,6 @@ def make_parser():
     p_orac = sub.add_parser("oracle", help="action-gradient cross check")
     _common_flags(p_orac)
     p_orac.add_argument("--seed", type=int, default=0)
-    p_orac.add_argument("--flip-block", default=None, help=argparse.SUPPRESS)
     return parser
 
 

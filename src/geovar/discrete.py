@@ -24,6 +24,9 @@ arrays with a leading axis, ``(P, N+1, n)``).  The callbacks then receive
 windows of shape ``(P, B, n)`` and return ``(P, B)`` (or ``(P, B, m)``);
 callbacks that evaluate each window on its own give every path of the
 stack the residual it has alone.
+
+:func:`dep_step` advances the discrete Euler-Poincare flow by one node; its
+3-dim root find is :func:`geovar.solver.newton_stack`.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import groups
+from . import groups, solver
 from .errors import SizeError, DomainError
 
 FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
@@ -343,26 +346,6 @@ def dep_residual(lhat_grad, xi_nodes, h, retr, trivialization=LEFT):
     return group_chain_residual(S, xi_nodes, h, retr, trivialization, 1, N - 1)
 
 
-def del_residual_first_order(Ld, q_nodes):
-    """Discrete Euler-Lagrange residual on M only (order-1 Lagrangian).
-
-    ``Ld.eval((q0s, q1s), ())`` is vectorized over adjacent pairs; residual
-    rows are ``D1 L_d(q_i, q_{i+1}) + D2 L_d(q_{i-1}, q_i)`` for i=1..N-1.
-    """
-    N = q_nodes.shape[0] - 1
-    if N < 2:
-        raise SizeError("need at least three nodes")
-    B = N
-    arrays = [q_nodes[0:B], q_nodes[1 : B + 1]]
-
-    def f(arrs):
-        return Ld.eval((arrs[0], arrs[1]), ())
-
-    D1 = slot_derivative(f, arrays, 0)
-    D2 = slot_derivative(f, arrays, 1)
-    return D1[1:N] + D2[0 : N - 1]
-
-
 # ---------------------------------------------------------------------------
 # Discrete momentum maps
 # ---------------------------------------------------------------------------
@@ -408,18 +391,16 @@ def discrete_momentum(Ld_eval, pair, xi, side, retr, eps=1e-6):
 
 
 def dep_step(lhat_grad, xi_prev, h, retr, trivialization=LEFT,
-             tol=1e-13, max_iter=DEP_MAX_ITER, return_iterations=False):
+             tol=1e-13, max_iter=DEP_MAX_ITER):
     """Advance one step of the discrete Euler-Poincare equations.
 
     Solves the transported momentum balance (the single row of
     :func:`dep_residual` on ``(xi_prev, xi_next)``) for the next algebra node
-    by a small Newton iteration with a central-difference Jacobian.  The
-    previous node's term is fixed during the step and computed once; each
-    iteration then makes one stacked residual call, at ``x`` and at the
-    ``2 d`` points ``x +/- dx_j e_j``.  The iteration count returned equals
+    with :func:`geovar.solver.newton_stack`, starting from ``xi_prev``.  The
+    previous node's term is fixed during the step and computed once.
+    Returns ``(xi_next, iterations)``; the iteration count equals
     ``max_iter`` exactly when the residual never fell below ``tol``.
     """
-    d = xi_prev.shape[0]
     # which of _transported's (plain, carried) terms each node contributes;
     # see group_chain_residual
     if trivialization == LEFT:
@@ -435,21 +416,7 @@ def dep_step(lhat_grad, xi_prev, h, retr, trivialization=LEFT,
         """Residual rows at the stacked candidates ``xs`` of shape (B, d)."""
         return (fixed - _transported(lhat_grad(xs), xs, h, retr)[next_term]) / h
 
-    x = xi_prev.copy()
-    iters = max_iter
-    for it in range(max_iter):
-        dx = 1e-7 * np.maximum(1.0, np.abs(x))
-        step = np.diag(dx)
-        rows = res(np.concatenate([x[None], x + step, x - step]))
-        r = rows[0]
-        if np.abs(r).max() < tol:
-            iters = it
-            break
-        J = ((rows[1 : d + 1] - rows[d + 1 :]) / (2.0 * dx)[:, None]).T
-        x = x - np.linalg.solve(J, r)
-    if return_iterations:
-        return x, iters
-    return x
+    return solver.newton_stack(res, xi_prev, tol, max_iter)
 
 
 def dep_solve_path(lhat_grad, xi0, N, h, retr, trivialization=LEFT,
@@ -459,10 +426,7 @@ def dep_solve_path(lhat_grad, xi0, N, h, retr, trivialization=LEFT,
     out[0] = xi0
     iters = []
     for kk in range(1, N):
-        out[kk], it = dep_step(
-            lhat_grad, out[kk - 1], h, retr, trivialization,
-            return_iterations=True,
-        )
+        out[kk], it = dep_step(lhat_grad, out[kk - 1], h, retr, trivialization)
         iters.append(it)
     if return_iterations:
         return out, iters

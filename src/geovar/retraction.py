@@ -14,7 +14,9 @@ Two families are provided:
   matrices.
 * Truncated exponential ``exp_s(xi) = sum_{i<=s} hat(xi)^i / i!`` for
   cross-checks.  Truncation leaves the group at order ``||xi||^{s+1}``, so
-  it is not used for production trajectories.
+  it is not used for production trajectories.  Its inverse has no closed
+  form: it is one :func:`geovar.solver.newton_stack` solve over the input
+  stack.
 
 All operations accept stacked inputs (``(..., 3)`` vectors, ``(..., 3, 3)``
 matrices).
@@ -26,11 +28,13 @@ import math
 
 import numpy as np
 
-from . import groups
+from . import groups, solver
 from .errors import ConfigError, SingularRetractionError
 
 _ANGLE_GUARD = 1e-6
 _COND_GUARD = 1e8
+_EXP_INV_TOL = 1e-12  # residual tolerance of the truncated-exponential inverse
+_EXP_INV_MAX_ITER = 50  # its Newton iteration cap
 
 
 class Retraction:
@@ -185,42 +189,34 @@ class TruncExpRetraction(Retraction):
             out = out + term
         return out
 
-    def tau_inv(self, g, max_iter=50, tol=1e-12):
-        """Newton inversion of the truncated polynomial on algebra coordinates."""
-        g = np.asarray(g, dtype=float)
-        single = g.ndim == 2
-        gs = g[None] if single else g.reshape((-1, 3, 3))
-        out = np.zeros((gs.shape[0], 3))
-        for b in range(gs.shape[0]):
-            x = self._project(gs[b])  # first-order seed
-            for _ in range(max_iter):
-                r = self._project(self.tau(x)) - self._project(gs[b])
-                if np.abs(r).max() < tol:
-                    break
-                J = np.empty((3, 3))
-                eps = 1e-7
-                for j in range(3):
-                    dx = np.zeros(3)
-                    dx[j] = eps
-                    J[:, j] = (
-                        self._project(self.tau(x + dx))
-                        - self._project(self.tau(x - dx))
-                    ) / (2 * eps)
-                x = x - np.linalg.solve(J, r)
-            else:
-                raise SingularRetractionError(
-                    "truncated-exponential inverse did not converge; "
-                    "use a smaller step h"
-                )
-            out[b] = x
-        return out[0] if single else out.reshape(g.shape[:-2] + (3,))
+    def tau_inv(self, g):
+        """Invert the truncated polynomial on algebra coordinates.
+
+        Poses ``tau(xi) = g`` as the 3-dim root find ``P(tau(xi)) = P(g)``
+        in the linear coordinates ``P`` of :meth:`_project`, seeded with
+        ``P(g)`` (first order in ``xi``), and solves the whole input stack
+        with one :func:`geovar.solver.newton_stack` call.
+        """
+        target = self._project(np.asarray(g, dtype=float))
+
+        def res(xs):
+            return self._project(self.tau(xs)) - target[..., None, :]
+
+        x, iters = solver.newton_stack(res, target, _EXP_INV_TOL, _EXP_INV_MAX_ITER)
+        if iters == _EXP_INV_MAX_ITER:
+            raise SingularRetractionError(
+                "truncated-exponential inverse did not converge; "
+                "use a smaller step h"
+            )
+        return x
 
     def _project(self, M):
         """Linear coordinates used to pose the inversion as a 3-dim root find."""
         if self.group_tag == groups.SO3:
-            return groups.vee(0.5 * (M - M.T), groups.SO3, tol=np.inf)
-        return np.array(
-            [0.5 * (M[1, 0] - M[0, 1]), M[0, 2], M[1, 2]]
+            skew = 0.5 * (M - np.swapaxes(M, -1, -2))
+            return groups.vee(skew, groups.SO3, tol=np.inf)
+        return np.stack(
+            [0.5 * (M[..., 1, 0] - M[..., 0, 1]), M[..., 0, 2], M[..., 1, 2]], axis=-1
         )
 
     def dtau_matrix(self, xi):

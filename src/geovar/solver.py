@@ -1,4 +1,9 @@
-"""Damped Newton root finder with finite-difference Jacobians.
+"""Newton root finders with finite-difference Jacobians.
+
+:func:`solve` is the damped Newton iteration for the large square systems
+of the optimal-control problems.  :func:`newton_stack` solves a stack of
+small independent systems (a rigid-body step, the truncated-exponential
+inverse) with one residual call per iteration.
 
 :func:`fd_jacobian` builds the Jacobian by central differences.  Dense, it
 costs 2 residual calls per column.  Given a :class:`ColumnGroups` sparsity
@@ -26,6 +31,7 @@ _ARMIJO_SLOPE = 1e-4
 _BACKTRACK = 0.5
 _MIN_STEP = 2.0 ** -20
 _COND_LIMIT = 1e14
+_STACK_FD_STEP = 1e-7  # relative central-difference step of newton_stack
 
 
 @dataclass
@@ -108,6 +114,35 @@ def fd_jacobian(residual_fn, x, step=FD_STEP, pattern=None):
     return J
 
 
+def newton_stack(residual_fn, x, tol, max_iter):
+    """Undamped Newton iteration on a stack of small independent systems.
+
+    ``x`` has shape ``(..., d)``.  Each iteration makes one call
+    ``residual_fn(X)`` on the ``(..., 2d+1, d)`` stack
+    ``[x, x + dx_j e_j, x - dx_j e_j]`` with ``dx = 1e-7 max(1, |x|)``; the
+    ``(..., 2d+1, d)`` result holds the residuals at ``x`` and the rows of
+    the central-difference Jacobians.  Before each step the whole stack is
+    tested: it has converged when ``max |r| < tol``.  Returns
+    ``(x, iterations)``; ``iterations == max_iter`` exactly when the
+    residual never fell below ``tol``.
+    """
+    x = np.array(x, dtype=float)
+    d = x.shape[-1]
+    eye = np.eye(d)
+    for it in range(max_iter):
+        dx = _STACK_FD_STEP * np.maximum(1.0, np.abs(x))
+        step = dx[..., None, :] * eye
+        x0 = x[..., None, :]
+        rows = residual_fn(np.concatenate([x0, x0 + step, x0 - step], axis=-2))
+        r = rows[..., 0, :]
+        if np.abs(r).max() < tol:
+            return x, it
+        diff = rows[..., 1 : d + 1, :] - rows[..., d + 1 :, :]
+        J = (diff / (2.0 * dx)[..., :, None]).swapaxes(-1, -2)
+        x = x - np.linalg.solve(J, r[..., None])[..., 0]
+    return x, max_iter
+
+
 @dataclass
 class SolverConfig:
     """Newton iteration settings.
@@ -118,7 +153,6 @@ class SolverConfig:
 
     tol_residual: float = 1e-10
     max_iters: int = 200
-    fd_step: float = FD_STEP
     jacobian: Callable = fd_jacobian
     # "lu": dense LU, errors on singular systems.  "pseudoinverse":
     # minimal-norm SVD step for consistent systems with a multiplier gauge
@@ -126,8 +160,10 @@ class SolverConfig:
     linear_solver: str = "lu"
 
     def __post_init__(self):
-        if self.tol_residual <= 0:
-            raise ValueError("tol_residual must be positive")
+        if not (np.isfinite(self.tol_residual) and self.tol_residual > 0):
+            raise ValueError(
+                f"tol_residual must be finite and positive, got {self.tol_residual}"
+            )
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.linear_solver not in ("lu", "pseudoinverse"):
@@ -162,7 +198,7 @@ def solve(residual_fn, x0, cfg=None):
     for it in range(cfg.max_iters):
         if history[-1] <= cfg.tol_residual:
             return SolveResult(x, True, it, history, "converged")
-        J = np.asarray(cfg.jacobian(residual_fn, x, cfg.fd_step))
+        J = np.asarray(cfg.jacobian(residual_fn, x, FD_STEP))
         if cfg.linear_solver == "pseudoinverse":
             dx = np.linalg.lstsq(J, -r, rcond=1e-12)[0]
         else:

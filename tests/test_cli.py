@@ -61,6 +61,17 @@ def test_too_few_nodes_rejected(tmp_path, capsys):
     assert "N" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_non_finite_tolerance_is_a_config_error(tmp_path, capsys, tol):
+    code = cli.main(
+        ["solve", SE2_CONFIG, "--tol", tol, "--max-iters", "5",
+         "--out-dir", str(tmp_path)]
+    )
+    assert code == 1
+    assert "config field 'solver'" in capsys.readouterr().err
+    assert not (tmp_path / "diagnostics.json").exists()
+
+
 # -- solve -------------------------------------------------------------------
 
 
@@ -206,11 +217,16 @@ def test_oracle_passes_for_both_models(config, capsys, tmp_path):
     assert "grouped vs dense Jacobian max |dJ| 0.000e+00" in out
 
 
-def test_oracle_negative_control_flags_the_flipped_block(capsys, tmp_path):
-    code = cli.main(
-        ["oracle", SE2_CONFIG, "--seed", "42", "--flip-block", "group",
-         "--out-dir", str(tmp_path)]
-    )
+def test_oracle_negative_control_flags_the_flipped_block(capsys, tmp_path,
+                                                         monkeypatch):
+    real = discrete.dlp_k_residual
+
+    def flipped_group_block(*args, **kwargs):
+        res_q, res_g, res_c = real(*args, **kwargs)
+        return res_q, -res_g, res_c
+
+    monkeypatch.setattr(discrete, "dlp_k_residual", flipped_group_block)
+    code = cli.main(["oracle", SE2_CONFIG, "--seed", "42", "--out-dir", str(tmp_path)])
     assert code == 2
     assert "group-stationarity" in capsys.readouterr().out
 
@@ -327,6 +343,18 @@ def test_convergence_rigid_body_second_order(tmp_path, capsys):
     # errors shrink monotonically over the compared runs
     errs = [float(r[1]) for r in rows[:-1]]
     assert errs == sorted(errs, reverse=True)
+
+
+def test_convergence_vehicle_under_the_truncated_exponential(tmp_path, capsys):
+    code = cli.main(
+        ["convergence", SE2_CONFIG, "--retraction", "exp4",
+         "--out-dir", str(tmp_path), "--h-list", "0.1", "0.05", "0.025"]
+    )
+    assert code == 0
+    lines = (tmp_path / "convergence.csv").read_text().strip().split("\n")
+    rows = [line.split(",") for line in lines[1:]]
+    assert len(rows) == 3
+    assert abs(float(rows[0][2]) - 1.776769) < 1e-6
 
 
 def test_module_entry_point_runs_without_a_runtime_warning():

@@ -1,5 +1,5 @@
-"""Residual-assembler tests: discrete Euler-Lagrange, Euler-Poincare,
-second/k-th order stationarity, momentum maps, reconstruction."""
+"""Residual-assembler tests: discrete Euler-Poincare, second/k-th order
+stationarity, momentum maps, reconstruction."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from geovar.discrete import (
     DiscreteConstraintSet,
     DiscreteLagrangian,
     DiscretePath,
-    del_residual_first_order,
     DEP_MAX_ITER,
     dep_residual,
     dep_solve_path,
@@ -65,66 +64,6 @@ def random_path(seed, N, n=2, m=2, k=2, tag=groups.SE2, h=0.1,
         q_nodes=q_nodes, xi_nodes=xi_nodes, h=h, lambda_nodes=lam,
         g_nodes=g_nodes,
     ), retr
-
-
-# -- first-order discrete Euler-Lagrange -------------------------------------
-
-
-def free_particle_ld(h):
-    def ld(qs, xis):
-        q0, q1 = qs
-        return 0.5 * np.sum((q1 - q0) ** 2, axis=1) / h
-
-    return DiscreteLagrangian(order=1, eval=ld)
-
-
-def test_free_particle_collinear_path_is_a_trajectory():
-    h = 0.1
-    t = np.arange(8)[:, None]
-    q = t * np.array([[0.3, -0.2]])  # equally spaced, collinear
-    res = del_residual_first_order(free_particle_ld(h), q)
-    assert np.abs(res).max() < 1e-8
-
-
-def test_free_particle_perturbed_node_residual_value():
-    h, delta = 0.1, 1e-3
-    q = np.arange(8, dtype=float)[:, None] * 0.3
-    q[4, 0] += delta
-    res = del_residual_first_order(free_particle_ld(h), q)
-    # quadratic form: residual at the perturbed node is 2 delta / h
-    assert abs(res[3, 0] - 2 * delta / h) < 1e-6
-    assert np.abs(np.delete(res, 3, axis=0)).max() < np.abs(res[3, 0])
-
-
-def test_first_order_residual_equals_action_gradient():
-    rng = np.random.default_rng(0)
-    a = rng.normal(size=4)
-
-    def ld(qs, xis):
-        q0, q1 = qs
-        z = np.concatenate([q0, q1], axis=1)
-        return np.sum(np.sin(z @ a[:, None]), axis=1)
-
-    Ld = DiscreteLagrangian(order=1, eval=ld)
-    q = rng.normal(size=(7, 2))
-    res = del_residual_first_order(Ld, q)
-    eps = 1e-5
-    for i in range(1, 6):
-        for c in range(2):
-            qp, qm = q.copy(), q.copy()
-            qp[i, c] += eps
-            qm[i, c] -= eps
-
-            def action(qq):
-                return float(np.sum(ld((qq[:-1], qq[1:]), ())))
-
-            fd = (action(qp) - action(qm)) / (2 * eps)
-            assert abs(res[i - 1, c] - fd) < 1e-6
-
-
-def test_first_order_path_too_short():
-    with pytest.raises(SizeError):
-        del_residual_first_order(free_particle_ld(0.1), np.zeros((2, 1)))
 
 
 # -- discrete Euler-Poincare -------------------------------------------------
@@ -227,8 +166,7 @@ def test_dep_step_equals_the_column_loop(trivialization, inertia):
     grad = FreeRigidBody(inertia).lhat_grad(h)
     rng = np.random.default_rng(7)
     for xi_prev in rng.uniform(-2.0, 2.0, size=(20, 3)):
-        got = dep_step(grad, xi_prev, h, retr, trivialization,
-                       return_iterations=True)
+        got = dep_step(grad, xi_prev, h, retr, trivialization)
         want = dep_step_column_loop(grad, xi_prev, h, retr, trivialization)
         assert np.array_equal(got[0], want[0])
         assert got[1] == want[1]

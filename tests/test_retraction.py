@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geovar import groups
+from geovar import groups, solver
 from geovar.errors import ConfigError, SingularRetractionError
 from geovar.retraction import (
     CayleyRetraction,
@@ -126,6 +126,56 @@ def test_trunc_exp_inverse_round_trip():
         for _ in range(10):
             xi = 0.3 * rng.normal(size=3)
             assert np.abs(retr.tau_inv(retr.tau(xi)) - xi).max() < 1e-10
+
+
+TRUNC_EXP_CASES = [(tag, order) for tag in TAGS for order in (2, 4, 6)]
+
+
+@pytest.mark.parametrize("tag,order", TRUNC_EXP_CASES)
+def test_trunc_exp_inverse_of_a_stack_equals_per_element_calls(tag, order):
+    retr = TruncExpRetraction(tag, order)
+    xi = 0.4 * np.random.default_rng(order).normal(size=(2, 5, 3))
+    g = retr.tau(xi)
+    stacked = retr.tau_inv(g)
+    assert stacked.shape == (2, 5, 3)
+    for idx in np.ndindex(2, 5):
+        one = retr.tau_inv(g[idx])
+        assert one.shape == (3,)
+        assert np.abs(stacked[idx] - one).max() < 1e-12
+
+
+@pytest.mark.parametrize("tag,order", TRUNC_EXP_CASES)
+def test_trunc_exp_inverse_calls_tau_once_per_iteration(tag, order, monkeypatch):
+    retr = TruncExpRetraction(tag, order)
+    g = retr.tau(0.4 * np.random.default_rng(0).normal(size=(2, 5, 3)))
+    real_newton, real_tau = solver.newton_stack, retr.tau
+    iterations, tau_calls = [], []
+
+    def newton(*args):
+        x, it = real_newton(*args)
+        iterations.append(it)
+        return x, it
+
+    def tau(xi):
+        tau_calls.append(xi.shape)
+        return real_tau(xi)
+
+    monkeypatch.setattr(solver, "newton_stack", newton)
+    monkeypatch.setattr(retr, "tau", tau)
+    retr.tau_inv(g)
+    assert len(iterations) == 1
+    # one call per Newton step plus the call that finds the stack converged
+    assert len(tau_calls) == iterations[0] + 1
+    assert set(tau_calls) == {(2, 5, 7, 3)}
+
+
+@pytest.mark.parametrize("tag,order", TRUNC_EXP_CASES)
+def test_trunc_exp_inverse_that_does_not_converge_raises(tag, order):
+    retr = TruncExpRetraction(tag, order)
+    g = retr.tau(0.4 * np.random.default_rng(1).normal(size=(4, 3)))
+    g[2, 1, 0] = np.nan  # its residual never falls below the tolerance
+    with pytest.raises(SingularRetractionError, match="did not converge"):
+        retr.tau_inv(g)
 
 
 # -- tangent maps ------------------------------------------------------------

@@ -10,6 +10,7 @@ from geovar.solver import (
     SolverConfig,
     fd_jacobian,
     greedy_column_groups,
+    newton_stack,
     solve,
 )
 
@@ -221,8 +222,9 @@ def test_gradient_residual_jacobian_is_symmetric():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(tol_residual=0.0)
+    for tol in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            SolverConfig(tol_residual=tol)
     with pytest.raises(ValueError):
         SolverConfig(max_iters=0)
     with pytest.raises(ValueError):
@@ -237,3 +239,58 @@ def test_no_convergence_report_keeps_best_iterate():
     assert isinstance(result, SolveResult)
     assert np.isfinite(result.x).all()
     assert result.message != "converged"
+
+
+# -- newton_stack --------------------------------------------------------------
+
+
+def cubic_system(c):
+    """Independent nonlinear 3-dim systems ``x + 0.3 sin(roll(x)) + 0.1 x^3 = c``,
+    one per row of ``c``; the residual takes the ``(..., 7, 3)`` candidate stack."""
+    c = np.asarray(c)[..., None, :]
+
+    def residual(X):
+        return X + 0.3 * np.sin(np.roll(X, 1, axis=-1)) + 0.1 * X**3 - c
+
+    return residual
+
+
+def test_newton_stack_equals_solving_each_system_alone():
+    c = np.random.default_rng(4).uniform(-3.0, 3.0, size=(2, 4, 3))
+    c[0, 0] = 0.0  # solved at the start; the rest of the stack is not
+    x, iters = newton_stack(cubic_system(c), np.zeros((2, 4, 3)), 1e-13, 50)
+    assert x.shape == (2, 4, 3)
+    assert iters < 50
+    assert np.abs(cubic_system(c)(x[..., None, :])).max() < 1e-13
+    for idx in np.ndindex(2, 4):
+        alone, it = newton_stack(cubic_system(c[idx]), np.zeros(3), 1e-13, 50)
+        assert it <= iters
+        assert np.abs(x[idx] - alone).max() < 1e-12
+
+
+def test_newton_stack_calls_the_residual_once_per_iteration():
+    calls = []
+    system = cubic_system(np.array([[1.0, -2.0, 0.5], [0.1, 0.2, 0.3]]))
+
+    def residual(X):
+        calls.append(X.shape)
+        return system(X)
+
+    x, iters = newton_stack(residual, np.zeros((2, 3)), 1e-13, 50)
+    # one call per step plus the call that finds the stack converged
+    assert len(calls) == iters + 1
+    assert set(calls) == {(2, 7, 3)}
+
+
+def test_newton_stack_with_zero_tolerance_reports_the_cap():
+    calls = []
+    system = cubic_system(np.array([1.0, -2.0, 0.5]))
+
+    def residual(X):
+        calls.append(None)
+        return system(X)
+
+    x, iters = newton_stack(residual, np.zeros(3), 0.0, 7)
+    assert iters == 7
+    assert len(calls) == 7
+    assert np.abs(system(x[None])).max() < 1e-12
