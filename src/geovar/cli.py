@@ -114,8 +114,8 @@ def load_config(path):
         raise ConfigError("model", f"expected one of {_MODELS}, got {model!r}")
     N = _require(cfg, "N", int)
     h = _require(cfg, "h", (int, float))
-    if h <= 0:
-        raise ConfigError("h", f"must be positive, got {h}")
+    if not (np.isfinite(h) and h > 0):
+        raise ConfigError("h", f"must be finite and positive, got {h}")
     if model != "free_rigid_body" and N < 6:
         raise ConfigError("N", f"must be >= 6 for optimal-control models, got {N}")
     if model == "free_rigid_body" and N < 2:

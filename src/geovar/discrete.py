@@ -210,16 +210,19 @@ def xi_slot_totals(Dxi, N, k):
     return S
 
 
-def _transported(S, xi, h, retr):
-    """Momenta ``(dtau^-1_{h xi_m})* S_m`` and their transports by
-    ``Ad*_{W_m}``, ``W_m = tau(h xi_m)``, one row per algebra node ``m``.
-    Stacked nodes ``(..., M, d)`` are flattened to rows and restored."""
-    d = xi.shape[-1]
-    hxi = (h * xi).reshape(-1, d)
-    Dinv_T_S = np.einsum("mji,mj->mi", retr.dtau_inv_matrix(hxi), S.reshape(-1, d))
+def _pulled_back(S, hxi, retr):
+    """Pulled-back momenta ``(dtau^-1_{h xi_m})* S_m`` of rows ``S_m`` and
+    ``hxi_m = h xi_m``, both of shape ``(M, d)``.  Under left trivialization
+    this is the only term of the node whose increment is unknown."""
+    return np.einsum("mji,mj->mi", retr.dtau_inv_matrix(hxi), S)
+
+
+def _transport(mu, hxi, retr):
+    """Rows ``mu_m`` transported by ``Ad*_{W_m}``, ``W_m = tau(hxi_m)``; both
+    of shape ``(M, d)``.  The left-trivialized balance transports the known
+    node ``i-1``, the right-trivialized one the node ``i``."""
     AdW = groups.Ad_matrix(retr.tau(hxi), retr.group_tag)
-    carried = np.einsum("mji,mj->mi", AdW, Dinv_T_S)
-    return Dinv_T_S.reshape(xi.shape), carried.reshape(xi.shape)
+    return np.einsum("mji,mj->mi", AdW, mu)
 
 
 def group_chain_residual(S, xi_nodes, h, retr, trivialization, lo, hi):
@@ -233,13 +236,20 @@ def group_chain_residual(S, xi_nodes, h, retr, trivialization, lo, hi):
                     - Ad*_{W_i} (dtau^-1_{h xi_i})* S_i ]
 
     with ``W_m = tau(h xi_m)``; equal to the gradient of the action under
-    trivialized variations at node i.
+    trivialized variations at node i.  Both terms are formed at every node:
+    :func:`_pulled_back` gives the plain one and :func:`_transport` carries
+    it by ``Ad*_{W_m}``.  Stacked nodes ``(..., M, d)`` are flattened to rows
+    and restored.
     """
-    Dinv_T_S, carried = _transported(S, xi_nodes, h, retr)
+    d = xi_nodes.shape[-1]
+    hxi = (h * xi_nodes).reshape(-1, d)
+    mu = _pulled_back(S.reshape(-1, d), hxi, retr)
+    carried = _transport(mu, hxi, retr).reshape(xi_nodes.shape)
+    mu = mu.reshape(xi_nodes.shape)
     if trivialization == LEFT:
-        res = (carried[..., lo - 1 : hi, :] - Dinv_T_S[..., lo : hi + 1, :]) / h
+        res = (carried[..., lo - 1 : hi, :] - mu[..., lo : hi + 1, :]) / h
     elif trivialization == RIGHT:
-        res = (Dinv_T_S[..., lo - 1 : hi, :] - carried[..., lo : hi + 1, :]) / h
+        res = (mu[..., lo - 1 : hi, :] - carried[..., lo : hi + 1, :]) / h
     else:
         raise ValueError(f"unknown trivialization {trivialization!r}")
     return res
@@ -397,24 +407,28 @@ def dep_step(lhat_grad, xi_prev, h, retr, trivialization=LEFT,
     Solves the transported momentum balance (the single row of
     :func:`dep_residual` on ``(xi_prev, xi_next)``) for the next algebra node
     with :func:`geovar.solver.newton_stack`, starting from ``xi_prev``.  The
-    previous node's term is fixed during the step and computed once.
+    previous node's term is fixed during the step and computed once.  Left
+    trivialized, the unknown enters only through its pulled-back momentum,
+    so a Newton residual makes no ``tau`` call; right trivialized, the
+    unknown's momentum is also transported by ``Ad*_{tau(h xi_next)}``.
     Returns ``(xi_next, iterations)``; the iteration count equals
     ``max_iter`` exactly when the residual never fell below ``tol``.
     """
-    # which of _transported's (plain, carried) terms each node contributes;
-    # see group_chain_residual
-    if trivialization == LEFT:
-        prev_term, next_term = 1, 0
-    elif trivialization == RIGHT:
-        prev_term, next_term = 0, 1
-    else:
+    if trivialization not in (LEFT, RIGHT):
         raise ValueError(f"unknown trivialization {trivialization!r}")
     prev = xi_prev[None]
-    fixed = _transported(lhat_grad(prev), prev, h, retr)[prev_term]
+    hprev = h * prev
+    fixed = _pulled_back(lhat_grad(prev), hprev, retr)
+    if trivialization == LEFT:
+        fixed = _transport(fixed, hprev, retr)
 
     def res(xs):
         """Residual rows at the stacked candidates ``xs`` of shape (B, d)."""
-        return (fixed - _transported(lhat_grad(xs), xs, h, retr)[next_term]) / h
+        hxs = h * xs
+        mu = _pulled_back(lhat_grad(xs), hxs, retr)
+        if trivialization == RIGHT:
+            mu = _transport(mu, hxs, retr)
+        return (fixed - mu) / h
 
     return solver.newton_stack(res, xi_prev, tol, max_iter)
 

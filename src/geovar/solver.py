@@ -164,8 +164,9 @@ class SolverConfig:
             raise ValueError(
                 f"tol_residual must be finite and positive, got {self.tol_residual}"
             )
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        if not (isinstance(self.max_iters, (int, np.integer))
+                and not isinstance(self.max_iters, bool) and self.max_iters >= 1):
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if self.linear_solver not in ("lu", "pseudoinverse"):
             raise ValueError(f"unknown linear_solver {self.linear_solver!r}")
 

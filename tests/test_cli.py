@@ -72,6 +72,33 @@ def test_non_finite_tolerance_is_a_config_error(tmp_path, capsys, tol):
     assert not (tmp_path / "diagnostics.json").exists()
 
 
+@pytest.mark.parametrize("h", [float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "config", [SE2_CONFIG, FRB_CONFIG], ids=["se2_vehicle", "free_rigid_body"]
+)
+def test_non_finite_step_size_is_a_config_error(tmp_path, capsys, config, h):
+    table = json.loads(Path(config).read_text())
+    table["h"] = h
+    code = cli.main(
+        ["solve", write_config(tmp_path, table), "--out-dir", str(tmp_path)]
+    )
+    assert code == 1
+    assert "config field 'h'" in capsys.readouterr().err
+    assert not (tmp_path / "diagnostics.json").exists()
+
+
+@pytest.mark.parametrize("max_iters", [80.5, True])
+def test_non_integer_iteration_cap_is_a_config_error(tmp_path, capsys, max_iters):
+    table = base_se2_table()
+    table["solver"] = {"max_iters": max_iters}
+    code = cli.main(
+        ["solve", write_config(tmp_path, table), "--out-dir", str(tmp_path)]
+    )
+    assert code == 1
+    assert "config field 'solver'" in capsys.readouterr().err
+    assert not (tmp_path / "diagnostics.json").exists()
+
+
 # -- solve -------------------------------------------------------------------
 
 

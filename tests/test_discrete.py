@@ -172,6 +172,42 @@ def test_dep_step_equals_the_column_loop(trivialization, inertia):
         assert got[1] == want[1]
 
 
+class CountingCayley(CayleyRetraction):
+    """Cayley retraction that counts its ``tau`` and ``dtau_inv_matrix`` calls."""
+
+    def __init__(self, group_tag):
+        super().__init__(group_tag)
+        self.tau_calls = 0
+        self.dtau_inv_calls = 0
+
+    def tau(self, xi):
+        self.tau_calls += 1
+        return super().tau(xi)
+
+    def dtau_inv_matrix(self, xi):
+        self.dtau_inv_calls += 1
+        return super().dtau_inv_matrix(xi)
+
+
+@pytest.mark.parametrize("trivialization", [LEFT, RIGHT])
+def test_dep_step_transports_only_the_term_its_trivialization_reads(trivialization):
+    """Left trivialized, only the fixed previous node is transported (one
+    tau call per step); right trivialized, every Newton residual transports
+    the unknown.  Both pull back the fixed node once and the unknown once
+    per residual."""
+    h = 0.05
+    retr = CountingCayley(groups.SO3)
+    grad = FreeRigidBody([1.0, 2.0, 3.0]).lhat_grad(h)
+    rng = np.random.default_rng(3)
+    for xi_prev in rng.uniform(-2.0, 2.0, size=(5, 3)):
+        retr.tau_calls = retr.dtau_inv_calls = 0
+        _, iterations = dep_step(grad, xi_prev, h, retr, trivialization)
+        assert 0 < iterations < DEP_MAX_ITER
+        want_tau = 1 if trivialization == LEFT else iterations + 1
+        assert retr.tau_calls == want_tau
+        assert retr.dtau_inv_calls == iterations + 2
+
+
 # -- discrete momentum map ---------------------------------------------------
 
 

@@ -225,8 +225,9 @@ def test_config_validation():
     for tol in (0.0, np.inf, np.nan):
         with pytest.raises(ValueError):
             SolverConfig(tol_residual=tol)
-    with pytest.raises(ValueError):
-        SolverConfig(max_iters=0)
+    for max_iters in (0, 80.5, True):
+        with pytest.raises(ValueError):
+            SolverConfig(max_iters=max_iters)
     with pytest.raises(ValueError):
         SolverConfig(linear_solver="qr")
 
