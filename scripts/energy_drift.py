@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from geovar import groups
-from geovar.discrete import DEP_MAX_ITER, dep_solve_path, reconstruct
+from geovar.discrete import capped_steps, dep_solve_path, reconstruct
 from geovar.models import free_rigid_body_model
 from geovar.retraction import CayleyRetraction
 
@@ -40,7 +40,7 @@ def main(argv=None):
     h = args.h
     xi, iters = dep_solve_path(body.lhat_grad(h), np.asarray(args.xi0),
                                args.steps, h, retr, return_iterations=True)
-    capped = sum(it >= DEP_MAX_ITER for it in iters)
+    capped = len(capped_steps(iters))
     g = reconstruct(xi, np.eye(3), h, retr)
     energy = body.energy(xi)
     # spatial momentum Ad*_{g_k^-1} (dtau^-1_{h xi_k})* (I xi_k), all steps at once

@@ -57,10 +57,10 @@ def _require(table, field, typ=None, where=""):
     if field not in table:
         raise ConfigError(where + field, "missing required field")
     value = table[field]
-    if typ is not None and not isinstance(value, typ):
-        raise ConfigError(
-            where + field, f"expected {typ.__name__}, got {type(value).__name__}"
-        )
+    # bool is a subclass of int, but true/false is never a count or a size
+    if typ is not None and (isinstance(value, bool) or not isinstance(value, typ)):
+        names = " or ".join(t.__name__ for t in (typ if isinstance(typ, tuple) else (typ,)))
+        raise ConfigError(where + field, f"expected {names}, got {type(value).__name__}")
     return value
 
 
@@ -176,6 +176,8 @@ def solver_config(cfg, args):
     table = cfg.get("solver", {})
     if not isinstance(table, dict):
         raise ConfigError("solver", "must be a table")
+    if "jacobian" in table:
+        raise ConfigError("solver", "'jacobian' is not a config key; each model supplies its own")
     kwargs = dict(table)
     tol = _override(args, "tol", "GEOVAR_TOL", float)
     if tol is not None:
@@ -266,6 +268,39 @@ def write_diagnostics(path, payload):
 
 
 # ---------------------------------------------------------------------------
+# Runs: one rung of the optimal-control path, one rigid-body flow
+# ---------------------------------------------------------------------------
+
+
+def _solve_rung(prob, retr, scfg, x0):
+    """Newton solve of one discretization from ``x0``; returns the
+    ``SolveResult`` and the path of its last iterate with group nodes.
+
+    The grouped Jacobian differences the residual function it is handed
+    without calling it, so the two are built here together."""
+    scfg.jacobian = ocp.make_jacobian_fn(prob, retr)
+    fn = ocp.make_residual_fn(prob, retr)
+    result = solve(fn, x0, scfg)
+    return result, ocp.solution_path(prob, result.x, retr)
+
+
+def _rigid_body(cfg, args):
+    """The configured body, its retraction and ``flow(N, h) -> (xi_nodes,
+    iterations per step, capped steps)`` from ``boundary.xi0``."""
+    body = _build_params(cfg)
+    retr = make_retraction(retraction_kind(cfg, args), groups.SO3)
+    xi0 = _vector(_require(cfg, "boundary", dict), "xi0", 3, "boundary.")
+
+    def flow(N, h):
+        xi_nodes, iters = discrete.dep_solve_path(
+            body.lhat_grad(h), xi0, N, h, retr, return_iterations=True
+        )
+        return xi_nodes, iters, discrete.capped_steps(iters)
+
+    return body, retr, flow
+
+
+# ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
 
@@ -283,15 +318,11 @@ def _solve_ocp(cfg, args):
             f"{counts['unknowns']} unknowns but {counts['equations']} equations; "
             "the system must be square before solving"
         )
-    scfg.jacobian = ocp.make_jacobian_fn(prob, retr)
-    fn = ocp.make_residual_fn(prob, retr)
-    x0 = ocp.initial_guess(prob, retr)
-    result = solve(fn, x0, scfg)
-    path = ocp.solution_path(prob, result.x, retr)
-    Ld, Phi = ocp.discretize(prob)
+    result, path = _solve_rung(prob, retr, scfg, ocp.initial_guess(prob, retr))
+    _, Phi = ocp.discretize(prob)
     qs, xis, _ = discrete._window_views(path.q_nodes, path.xi_nodes, 2)
     phi_vals = Phi.eval(tuple(qs), tuple(xis))
-    closure, _ = ocp.closure_residual(prob, path.xi_nodes, retr)
+    closure = ocp._terminal_mismatch(prob, path.g_nodes[-1], retr)
     diag = {
         "model": cfg["model"],
         "N": prob.N,
@@ -313,34 +344,17 @@ def _solve_ocp(cfg, args):
         diag["controlled_rows_mismatch_vs_lagrangian"] = (
             models.se2_equation_mismatch(params)
         )
-    directory = out_dir(cfg, args)
-    t_nodes = np.arange(prob.N + 1) * prob.h
-    write_trajectory(
-        directory / "trajectory.csv",
-        t_nodes, path.q_nodes, path.xi_nodes, path.lambda_nodes, path.g_nodes,
+    return _write_run(
+        cfg, args, diag, path.q_nodes, path.xi_nodes, path.lambda_nodes, path.g_nodes
     )
-    write_diagnostics(directory / "diagnostics.json", diag)
-    return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
-
-
-def _capped_steps(iters):
-    """Indices of the dep_step calls that hit the Newton cap: dep_step
-    reports its iteration cap exactly when it did not converge."""
-    return [k for k, it in enumerate(iters) if it >= discrete.DEP_MAX_ITER]
 
 
 def _solve_frb(cfg, args):
-    body = _build_params(cfg)
-    retr = make_retraction(retraction_kind(cfg, args), groups.SO3)
-    table = _require(cfg, "boundary", dict)
-    xi0 = _vector(table, "xi0", 3, "boundary.")
+    body, retr, flow = _rigid_body(cfg, args)
+    table = cfg["boundary"]
     g0 = _matrix(table, "g0", groups.SO3, "boundary.") if "g0" in table else np.eye(3)
     N, h = cfg["N"], cfg["h"]
-    grad = body.lhat_grad(h)
-    xi_nodes, iters = discrete.dep_solve_path(
-        grad, xi0, N, h, retr, return_iterations=True
-    )
-    stuck = _capped_steps(iters)
+    xi_nodes, iters, stuck = flow(N, h)
     g_nodes = discrete.reconstruct(xi_nodes, g0, h, retr)
     pair_eval = body.pair_eval(h, retr)
     # all N-1 adjacent pairs (g_k, g_k+1), k < N-1, at once per generator
@@ -367,13 +381,19 @@ def _solve_frb(cfg, args):
         "energy_initial": float(energy[0]),
         "energy_drift_max": float(np.abs(energy - energy[0]).max()),
     }
+    return _write_run(cfg, args, diag, None, xi_nodes, None, g_nodes)
+
+
+def _write_run(cfg, args, diag, q_nodes, xi_nodes, lam_nodes, g_nodes):
+    """Write ``trajectory.csv`` and ``diagnostics.json``; the exit code
+    follows ``diag["converged"]``."""
     directory = out_dir(cfg, args)
-    t_nodes = np.arange(N + 1) * h
+    t_nodes = np.arange(diag["N"] + 1) * diag["h"]
     write_trajectory(
-        directory / "trajectory.csv", t_nodes, None, xi_nodes, None, g_nodes
+        directory / "trajectory.csv", t_nodes, q_nodes, xi_nodes, lam_nodes, g_nodes
     )
     write_diagnostics(directory / "diagnostics.json", diag)
-    return EXIT_NO_CONVERGENCE if stuck else EXIT_OK
+    return EXIT_OK if diag["converged"] else EXIT_NO_CONVERGENCE
 
 
 def cmd_solve(args):
@@ -388,21 +408,13 @@ def cmd_solve(args):
 # ---------------------------------------------------------------------------
 
 
-def _traj_error(prob_c, path_c, prob_f, path_f):
-    """Max trajectory discrepancy over base coordinates and reconstructed
-    group entries, finest run interpolated to the coarse nodes."""
-    tc = np.arange(prob_c.N + 1) * prob_c.h
-    tf = np.arange(prob_f.N + 1) * prob_f.h
-    err = 0.0
-    for c in range(prob_c.n):
-        ref = np.interp(tc, tf, path_f.q_nodes[:, c])
-        err = max(err, float(np.abs(path_c.q_nodes[:, c] - ref).max()))
-    gc = path_c.g_nodes.reshape(len(tc), 9)
-    gf = path_f.g_nodes.reshape(len(tf), 9)
-    for c in range(9):
-        ref = np.interp(tc, tf, gf[:, c])
-        err = max(err, float(np.abs(gc[:, c] - ref).max()))
-    return err
+def _max_gap(t, table, t_ref, table_ref):
+    """Largest entry of ``|table - table_ref|``, the reference node table
+    interpolated linearly, column by column, to the node times ``t``."""
+    return max(
+        float(np.abs(table[:, c] - np.interp(t, t_ref, table_ref[:, c])).max())
+        for c in range(table.shape[1])
+    )
 
 
 def cmd_convergence(args):
@@ -418,12 +430,13 @@ def cmd_convergence(args):
         raise ConfigError("h-list", "step sizes must form a geometric sequence")
     T = cfg["N"] * cfg["h"]
     directory = out_dir(cfg, args)
-    if cfg["model"] == "free_rigid_body":
-        rows, slope = _convergence_frb(cfg, args, h_list, T)
-    else:
-        rows, slope = _convergence_ocp(cfg, args, h_list, T)
+    ladder = _ladder_frb if cfg["model"] == "free_rigid_body" else _ladder_ocp
+    runs = ladder(cfg, args, h_list, T)
+    h_f, t_f, table_f = runs[-1]
+    rows = [(hh, _max_gap(t, table, t_f, table_f)) for hh, t, table in runs[:-1]]
+    slope = fit_slope([r[0] for r in rows], [r[1] for r in rows])
     lines = ["h,error,slope"]
-    for hh, err in rows:
+    for hh, err in rows + [(h_f, 0.0)]:
         lines.append(f"{_fmt(hh)},{_fmt(err)},{_fmt(slope)}")
     (directory / "convergence.csv").write_text("\n".join(lines) + "\n")
     print(f"fitted slope: {slope:.3f}")
@@ -445,67 +458,45 @@ def fit_slope(hs, errs):
     return float(sol[0])
 
 
-def _convergence_ocp(cfg, args, h_list, T):
+def _ladder_ocp(cfg, args, h_list, T):
+    """Solve every rung, each finer one warm-started from the one before;
+    returns ``(h, node times, [q | g entries] node table)`` per rung."""
     probs = [build_problem(cfg, N=_int_steps(T, hh), h=hh)[0] for hh in h_list]
     retr = make_retraction(retraction_kind(cfg, args), probs[0].group_tag)
     # Refinement studies compare trajectories at discretization-error
     # scale; avoid grinding on the finite-difference Jacobian floor
     # unless a tolerance was requested explicitly.
     explicit_tol = _override(args, "tol", "GEOVAR_TOL", float) is not None
-    solves = []
-    prev = None
-    for prob in probs:
+    runs = []
+    for i, prob in enumerate(probs):
         scfg = solver_config(cfg, args)
         if not explicit_tol and scfg.tol_residual < 1e-8:
             scfg.tol_residual = 1e-8
-        scfg.jacobian = ocp.make_jacobian_fn(prob, retr)
-        fn = ocp.make_residual_fn(prob, retr)
-        if prev is None:
+        if i == 0:
             x0 = ocp.initial_guess(prob, retr)
-        else:
-            x0 = ocp.refine_guess(prev[0], prev[1], prob)
-        result = solve(fn, x0, scfg)
+        else:  # warm start from the previous rung's converged result
+            x0 = ocp.refine_guess(probs[i - 1], result.x, prob)
+        result, path = _solve_rung(prob, retr, scfg, x0)
         if not result.converged:
             raise GeovarError(f"inner solve failed at h = {prob.h}: {result.message}")
-        solves.append((prob, ocp.solution_path(prob, result.x, retr)))
-        prev = (prob, result.x)
-    prob_f, path_f = solves[-1]
-    rows = []
-    for prob_c, path_c in solves[:-1]:
-        rows.append((prob_c.h, _traj_error(prob_c, path_c, prob_f, path_f)))
-    slope = fit_slope([r[0] for r in rows], [r[1] for r in rows])
-    return rows + [(prob_f.h, 0.0)], slope
+        t = np.arange(prob.N + 1) * prob.h
+        runs.append((prob.h, t, np.column_stack([path.q_nodes, path.g_nodes.reshape(-1, 9)])))
+    return runs
 
 
-def _convergence_frb(cfg, args, h_list, T):
-    body = _build_params(cfg)
-    retr = make_retraction(retraction_kind(cfg, args), groups.SO3)
-    table = _require(cfg, "boundary", dict)
-    xi0 = _vector(table, "xi0", 3, "boundary.")
-    paths = []
+def _ladder_frb(cfg, args, h_list, T):
+    """The rigid-body flow at every rung; returns ``(h, node times, xi node
+    table)`` per rung."""
+    _, _, flow = _rigid_body(cfg, args)
+    runs = []
     for hh in h_list:
-        N = _int_steps(T, hh)
-        xi_nodes, iters = discrete.dep_solve_path(
-            body.lhat_grad(hh), xi0, N, hh, retr, return_iterations=True
-        )
-        stuck = _capped_steps(iters)
+        xi_nodes, _, stuck = flow(_int_steps(T, hh), hh)
         if stuck:
             raise GeovarError(
                 f"inner solve failed at h = {hh}: step {stuck[0]} hit the Newton cap"
             )
-        paths.append((hh, xi_nodes))
-    hf, xf = paths[-1]
-    tf = np.arange(len(xf)) * hf
-    rows = []
-    for hh, xn in paths[:-1]:
-        tc = np.arange(len(xn)) * hh
-        err = 0.0
-        for c in range(3):
-            ref = np.interp(tc, tf, xf[:, c])
-            err = max(err, float(np.abs(xn[:, c] - ref).max()))
-        rows.append((hh, err))
-    slope = fit_slope([r[0] for r in rows], [r[1] for r in rows])
-    return rows + [(hf, 0.0)], slope
+        runs.append((hh, np.arange(len(xi_nodes)) * hh, xi_nodes))
+    return runs
 
 
 # ---------------------------------------------------------------------------

@@ -447,6 +447,13 @@ def dep_solve_path(lhat_grad, xi0, N, h, retr, trivialization=LEFT,
     return out
 
 
+def capped_steps(iters):
+    """Indices of the :func:`dep_step` calls, given their iteration counts,
+    that hit the Newton cap: a step reports ``DEP_MAX_ITER`` exactly when
+    it did not converge."""
+    return [k for k, it in enumerate(iters) if it >= DEP_MAX_ITER]
+
+
 def reconstruct(xi_nodes, g0, h, retr, trivialization=LEFT):
     """Recover group nodes from algebra increments.
 

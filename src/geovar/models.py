@@ -17,7 +17,8 @@ at the top of each callback.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -25,7 +26,20 @@ import numpy as np
 from . import groups
 from .discrete import LEFT, RIGHT
 from .errors import ConfigError
-from .ocp import BoundaryData, ControlledSystem, SecondOrderProblem
+from .ocp import ControlledSystem, SecondOrderProblem
+
+
+def _is_number(v):
+    """True for a finite real number; a bool is not one."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and bool(np.isfinite(v))
+
+
+def _check_positive(params, names):
+    for name in names:
+        v = getattr(params, name)
+        if not (_is_number(v) and v > 0):
+            raise ConfigError(name, f"must be a positive number, got {v!r}")
+
 
 # ---------------------------------------------------------------------------
 # SE(2) vehicle
@@ -45,10 +59,7 @@ class Se2VehicleParams:
     rho2: float = 1.0
 
     def __post_init__(self):
-        for name in ("m", "J1", "J2", "p", "rho1", "rho2"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0):
-                raise ConfigError(name, f"must be a positive number, got {v!r}")
+        _check_positive(self, ("m", "J1", "J2", "p", "rho1", "rho2"))
 
 
 def _se2_split(xi, dxi):
@@ -284,11 +295,6 @@ def se2_controlled_system(params):
     def cost(q, dq, xi, u):
         return params.rho1 * u[:, 0] ** 2 + params.rho2 * u[:, 1] ** 2
 
-    ell = se2_reduced_lagrangian(params)
-
-    def lagrangian(q, dq, xi):
-        return ell(q, dq, xi)
-
     return ControlledSystem(
         n=1,
         group_tag=groups.SE2,
@@ -297,7 +303,6 @@ def se2_controlled_system(params):
         actuated_covectors=actuated,
         unactuated_covectors=unactuated,
         raw_residual=se2_raw_rows(params),
-        lagrangian=lagrangian,
     )
 
 
@@ -347,10 +352,11 @@ class BallPlateParams:
     ddomega: Optional[Callable] = None
 
     def __post_init__(self):
-        for name in ("r", "k2"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0):
-                raise ConfigError(name, f"must be a positive number, got {v!r}")
+        _check_positive(self, ("r", "k2"))
+        if not (callable(self.omega) or _is_number(self.omega)):
+            raise ConfigError(
+                "omega", f"must be a finite number or a callable, got {self.omega!r}"
+            )
 
     @property
     def time_dependent(self):

@@ -26,19 +26,13 @@ trivial bundle M x G:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import discrete, groups, solver
-from .discrete import (
-    LEFT,
-    RIGHT,
-    DiscreteConstraintSet,
-    DiscreteLagrangian,
-    DiscretePath,
-)
+from .discrete import LEFT, DiscreteConstraintSet, DiscreteLagrangian, DiscretePath
 from .errors import IllPosedBasisError, SizeError
 
 K_ORDER = 2  # the OCP reduction always yields a second-order problem
@@ -125,9 +119,7 @@ class ControlledSystem:
 
     ``raw_residual(q, dq, ddq, xi, dxi, t) -> (B, n+3)`` are the rows of
     the controlled Euler-Lagrange operator in coordinates (M components
-    first, then algebra components in group coordinate order).  When it is
-    None the rows are produced from ``lagrangian`` by nested finite
-    differences (:func:`controlled_rows_from_lagrangian`).
+    first, then algebra components in group coordinate order).
 
     The covector callbacks return stacked rows: ``actuated_covectors(q) ->
     (B, r, n+3)`` and ``unactuated_covectors(q) -> (B, m, n+3)``.  When
@@ -141,9 +133,8 @@ class ControlledSystem:
     r: int
     cost: Callable
     actuated_covectors: Callable
-    unactuated_covectors: Optional[Callable] = None
-    raw_residual: Optional[Callable] = None
-    lagrangian: Optional[Callable] = None
+    unactuated_covectors: Callable
+    raw_residual: Callable
     direct_constraints: Optional[Callable] = None
 
     @property
@@ -191,8 +182,6 @@ def controlled_rows_from_lagrangian(L, q, dq, ddq, xi, dxi, group_tag,
 def _dual_basis(sys, q):
     """Columns dual to the stacked covector basis rows; raises when rank deficient."""
     act = sys.actuated_covectors(q)
-    if sys.unactuated_covectors is None:
-        raise IllPosedBasisError("no unactuated covectors supplied")
     unact = sys.unactuated_covectors(q)
     Bmat = np.concatenate([act, unact], axis=1)
     d = sys.n + 3
@@ -211,15 +200,8 @@ def _dual_basis(sys, q):
 def reduce_to_variational(sys, boundary, N, h, trivialization=LEFT):
     """Build the second-order problem ``(Ltilde, Phi)`` from a controlled system."""
 
-    def rows(q, dq, ddq, xi, dxi, t):
-        if sys.raw_residual is not None:
-            return sys.raw_residual(q, dq, ddq, xi, dxi, t)
-        return controlled_rows_from_lagrangian(
-            sys.lagrangian, q, dq, ddq, xi, dxi, sys.group_tag
-        )
-
     def F(q, dq, ddq, xi, dxi, t):
-        E = rows(q, dq, ddq, xi, dxi, t)
+        E = sys.raw_residual(q, dq, ddq, xi, dxi, t)
         V = _dual_basis(sys, q)
         return np.einsum("bc,bca->ba", E, V[:, :, : sys.r])
 
@@ -230,7 +212,7 @@ def reduce_to_variational(sys, boundary, N, h, trivialization=LEFT):
         phi = sys.direct_constraints
     else:
         def phi(q, dq, ddq, xi, dxi, t):
-            E = rows(q, dq, ddq, xi, dxi, t)
+            E = sys.raw_residual(q, dq, ddq, xi, dxi, t)
             V = _dual_basis(sys, q)
             return np.einsum("bc,bca->ba", E, V[:, :, sys.r :])
 
@@ -662,6 +644,7 @@ def refine_guess(prob_coarse, x_coarse, prob_fine):
 def solution_path(prob, x, retr):
     """Scatter a converged vector and attach reconstructed group nodes."""
     path = scatter(prob, x)
-    _, g_nodes = closure_residual(prob, path.xi_nodes, retr)
-    path.g_nodes = g_nodes
+    path.g_nodes = discrete.reconstruct(
+        path.xi_nodes, prob.boundary.g0, prob.h, retr, prob.trivialization
+    )
     return path

@@ -24,8 +24,6 @@ matrices).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import groups, solver

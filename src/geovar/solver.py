@@ -160,7 +160,9 @@ class SolverConfig:
     linear_solver: str = "lu"
 
     def __post_init__(self):
-        if not (np.isfinite(self.tol_residual) and self.tol_residual > 0):
+        if isinstance(self.tol_residual, bool) or not (
+            np.isfinite(self.tol_residual) and self.tol_residual > 0
+        ):
             raise ValueError(
                 f"tol_residual must be finite and positive, got {self.tol_residual}"
             )

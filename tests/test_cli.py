@@ -99,6 +99,60 @@ def test_non_integer_iteration_cap_is_a_config_error(tmp_path, capsys, max_iters
     assert not (tmp_path / "diagnostics.json").exists()
 
 
+def base_table(config):
+    return json.loads(Path(config).read_text())
+
+
+def assert_config_error(tmp_path, capsys, table, field):
+    """The run exits 1 naming ``field`` in its message, before any output."""
+    code = cli.main(
+        ["solve", write_config(tmp_path, table), "--out-dir", str(tmp_path)]
+    )
+    assert code == 1
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "diagnostics.json").exists()
+
+
+@pytest.mark.parametrize("h", [True, "0.1"])
+def test_step_size_must_be_a_number(tmp_path, capsys, h):
+    table = base_table(FRB_CONFIG)
+    table["h"] = h
+    assert_config_error(tmp_path, capsys, table, "config field 'h'")
+
+
+def test_boolean_tolerance_is_a_config_error(tmp_path, capsys):
+    table = base_se2_table()
+    table["solver"]["tol_residual"] = True
+    assert_config_error(tmp_path, capsys, table, "tol_residual")
+
+
+@pytest.mark.parametrize(
+    "config, field",
+    [pytest.param(SE2_CONFIG, f, id=f"se2_vehicle-{f}")
+     for f in ("m", "J1", "J2", "p", "rho1", "rho2")]
+    + [pytest.param(BALL_CONFIG, f, id=f"ball_plate-{f}") for f in ("r", "k2")],
+)
+def test_boolean_model_parameter_is_a_config_error(tmp_path, capsys, config, field):
+    table = base_table(config)
+    table["params"][field] = True
+    assert_config_error(tmp_path, capsys, table, f"config field '{field}'")
+
+
+@pytest.mark.parametrize(
+    "omega", ["fast", None, [1, 2], float("nan"), float("inf"), True]
+)
+def test_ball_plate_rate_must_be_a_finite_number(tmp_path, capsys, omega):
+    table = base_table(BALL_CONFIG)
+    table["params"]["omega"] = omega
+    assert_config_error(tmp_path, capsys, table, "config field 'omega'")
+
+
+def test_solver_table_cannot_set_the_jacobian(tmp_path, capsys):
+    table = base_se2_table()
+    table["solver"]["jacobian"] = "dense"
+    assert_config_error(tmp_path, capsys, table, "config field 'solver': 'jacobian'")
+
+
 # -- solve -------------------------------------------------------------------
 
 

@@ -12,6 +12,7 @@ from geovar.discrete import (
     DiscreteLagrangian,
     DiscretePath,
     DEP_MAX_ITER,
+    capped_steps,
     dep_residual,
     dep_solve_path,
     dep_step,
@@ -206,6 +207,19 @@ def test_dep_step_transports_only_the_term_its_trivialization_reads(trivializati
         want_tau = 1 if trivialization == LEFT else iterations + 1
         assert retr.tau_calls == want_tau
         assert retr.dtau_inv_calls == iterations + 2
+
+
+def test_capped_steps_are_the_steps_that_report_the_cap():
+    assert capped_steps([]) == []
+    assert capped_steps([3, DEP_MAX_ITER, 4, DEP_MAX_ITER - 1, DEP_MAX_ITER]) == [1, 4]
+    # a step that cannot converge (no residual falls below 0) reports the cap
+    h = 0.05
+    grad = FreeRigidBody([1.0, 2.0, 3.0]).lhat_grad(h)
+    retr = CayleyRetraction(groups.SO3)
+    xi_prev = np.array([0.3, 0.2, 0.5])
+    _, converged = dep_step(grad, xi_prev, h, retr)
+    _, stuck = dep_step(grad, xi_prev, h, retr, tol=0.0)
+    assert capped_steps([converged, stuck]) == [1]
 
 
 # -- discrete momentum map ---------------------------------------------------

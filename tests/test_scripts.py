@@ -28,6 +28,29 @@ def test_energy_drift_writes_one_row_per_step(tmp_path, capsys):
     assert np.abs(rows[:, 2:] - rows[0, 2:]).max() < 1e-12
 
 
+def test_energy_drift_exits_2_when_a_step_hits_the_newton_cap(
+    tmp_path, capsys, monkeypatch
+):
+    from geovar import discrete
+
+    real_step = discrete.dep_step
+    calls = []
+
+    def seventh_step_never_converges(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 7:
+            kwargs["tol"] = 0.0  # no residual falls below zero
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(discrete, "dep_step", seventh_step_never_converges)
+    code = load_script("energy_drift").main(
+        ["--steps", "50", "--out-dir", str(tmp_path)]
+    )
+    assert code == 2
+    assert "steps at the Newton cap: 1" in capsys.readouterr().out
+    assert (tmp_path / "conservation.csv").exists()
+
+
 def test_benchmark_tracer_installs_and_restores(monkeypatch):
     """The tracer looks every name it patches up through ``__dict__``, so a
     deleted or renamed geovar function fails here, not only in a traced run."""
