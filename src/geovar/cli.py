@@ -29,6 +29,7 @@ The config file is JSON; see the repository README for the schema.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -37,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import discrete, groups, models, ocp, oracle
-from .errors import ConfigError, GeovarError, SizeError
+from .errors import ConfigError, GeovarError
 from .retraction import make_retraction
 from .solver import SolverConfig, fd_jacobian, solve
 
@@ -64,12 +65,25 @@ def _require(table, field, typ=None, where=""):
     return value
 
 
-def _vector(table, field, length, where=""):
+def _has_bool(raw):
+    return isinstance(raw, bool) or (
+        isinstance(raw, list) and any(_has_bool(v) for v in raw)
+    )
+
+
+def _float_array(table, field, what, where):
     raw = _require(table, field, list, where)
+    # as in _require: true/false is never a coordinate or a matrix entry
+    if _has_bool(raw):
+        raise ConfigError(where + field, f"expected {what}, got true/false")
     try:
-        arr = np.asarray(raw, dtype=float)
+        return np.asarray(raw, dtype=float)
     except (TypeError, ValueError):
-        raise ConfigError(where + field, "expected a list of numbers")
+        raise ConfigError(where + field, f"expected {what}")
+
+
+def _vector(table, field, length, where=""):
+    arr = _float_array(table, field, "a list of numbers", where)
     if arr.shape != (length,):
         raise ConfigError(
             where + field, f"expected {length} numbers, got shape {arr.shape}"
@@ -80,11 +94,7 @@ def _vector(table, field, length, where=""):
 
 
 def _matrix(table, field, group_tag, where=""):
-    raw = _require(table, field, list, where)
-    try:
-        arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(where + field, "expected a 3x3 matrix")
+    arr = _float_array(table, field, "a 3x3 matrix", where)
     if arr.shape == (9,):
         arr = arr.reshape(3, 3)  # row-major
     if arr.shape != (3, 3):
@@ -120,6 +130,8 @@ def load_config(path):
         raise ConfigError("N", f"must be >= 6 for optimal-control models, got {N}")
     if model == "free_rigid_body" and N < 2:
         raise ConfigError("N", f"must be >= 2, got {N}")
+    if not isinstance(cfg.get("out_dir", ""), str):
+        raise ConfigError("out_dir", f"expected a string, got {cfg['out_dir']!r}")
     return cfg
 
 
@@ -133,6 +145,9 @@ def _build_params(cfg):
             return models.Se2VehicleParams(**table)
         if model == "ball_plate":
             return models.BallPlateParams(**table)
+        unknown = sorted(set(table) - {"inertia"})
+        if unknown:
+            raise ConfigError("params", f"{unknown[0]!r} is not a rigid-body parameter")
         inertia = _vector(table, "inertia", 3, "params.") if "inertia" in table \
             else np.array([1.0, 2.0, 3.0])
         return models.free_rigid_body_model(inertia)
@@ -176,8 +191,10 @@ def solver_config(cfg, args):
     table = cfg.get("solver", {})
     if not isinstance(table, dict):
         raise ConfigError("solver", "must be a table")
-    if "jacobian" in table:
-        raise ConfigError("solver", "'jacobian' is not a config key; each model supplies its own")
+    keys = {f.name for f in dataclasses.fields(SolverConfig)}
+    for key in table:
+        if key not in keys:
+            raise ConfigError("solver", f"{key!r} is not a config key")
     kwargs = dict(table)
     tol = _override(args, "tol", "GEOVAR_TOL", float)
     if tol is not None:
@@ -274,13 +291,8 @@ def write_diagnostics(path, payload):
 
 def _solve_rung(prob, retr, scfg, x0):
     """Newton solve of one discretization from ``x0``; returns the
-    ``SolveResult`` and the path of its last iterate with group nodes.
-
-    The grouped Jacobian differences the residual function it is handed
-    without calling it, so the two are built here together."""
-    scfg.jacobian = ocp.make_jacobian_fn(prob, retr)
-    fn = ocp.make_residual_fn(prob, retr)
-    result = solve(fn, x0, scfg)
+    ``SolveResult`` and the path of its last iterate with group nodes."""
+    result = solve(ocp.make_residual_fn(prob, retr), x0, scfg)
     return result, ocp.solution_path(prob, result.x, retr)
 
 
@@ -313,11 +325,6 @@ def _solve_ocp(cfg, args):
         "unknowns": ocp.unknown_count(prob.N, prob.n, prob.m),
         "equations": ocp.equation_count(prob.N, prob.n, prob.m),
     }
-    if counts["unknowns"] != counts["equations"]:
-        raise SizeError(
-            f"{counts['unknowns']} unknowns but {counts['equations']} equations; "
-            "the system must be square before solving"
-        )
     result, path = _solve_rung(prob, retr, scfg, ocp.initial_guess(prob, retr))
     _, Phi = ocp.discretize(prob)
     qs, xis, _ = discrete._window_views(path.q_nodes, path.xi_nodes, 2)
@@ -535,7 +542,7 @@ def oracle_point(prob, retr, seed):
 def jacobian_discrepancy(prob, retr, x):
     """Largest |grouped - dense| Jacobian entry at ``x`` and its (row, col)."""
     fn = ocp.make_residual_fn(prob, retr)
-    gap = np.abs(ocp.make_jacobian_fn(prob, retr)(fn, x) - fd_jacobian(fn, x))
+    gap = np.abs(fd_jacobian(fn, x, pattern=fn.pattern) - fd_jacobian(fn, x))
     worst = np.unravel_index(int(np.argmax(gap)), gap.shape)
     return float(gap[worst]), tuple(int(i) for i in worst)
 
@@ -543,11 +550,7 @@ def jacobian_discrepancy(prob, retr, x):
 def oracle_discrepancy(prob, retr, seed=0):
     """Compare assembled stationarity rows with the independent action
     gradient at a seeded random interior point."""
-    path = ocp.scatter(prob, oracle_point(prob, retr, seed))
-    b = prob.boundary
-    path.g_nodes = discrete.reconstruct(
-        path.xi_nodes, b.g0, prob.h, retr, prob.trivialization
-    )
+    path = ocp.solution_path(prob, oracle_point(prob, retr, seed), retr)
     Ld, Phi = ocp.discretize(prob)
     res_q, res_g, _ = discrete.dlp_k_residual(
         Ld, Phi, path, retr, prob.trivialization

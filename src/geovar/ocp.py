@@ -17,11 +17,12 @@ trivial bundle M x G:
    algebra closure and the constraint windows into one square system whose
    unknowns are laid out as ``[q_2..q_{N-2} | xi_1..xi_{N-2} | lambda^0..
    lambda^{N-2}]``.
-5. :func:`make_jacobian_fn` differences that system over column groups of
-   its three-node stencil incidence: the local rows at the perturbations of
-   all groups come from 2 stacked evaluations of the same assembler
-   (:func:`local_residual`), and the 3 closure rows from ``6 (N-2)``
-   closure-only chain steps.
+5. :func:`make_residual_fn` returns that system as a function carrying
+   the column groups of its three-node stencil incidence, over which
+   :func:`geovar.solver.solve` differences it: the local rows at the
+   perturbations of all groups come from 2 stacked evaluations of the same
+   assembler (:func:`local_residual`), and the 3 closure rows from
+   ``6 (N-2)`` closure-only chain steps.
 """
 
 from __future__ import annotations
@@ -481,7 +482,7 @@ def local_residual(prob, x, retr, Ld, Phi):
     for each vector of a ``(P, total)`` stack ``x`` (or for one vector).
 
     The closure rows see every ``xi`` through a sequential reconstruction;
-    :func:`make_jacobian_fn` differences them separately.
+    the pattern of :func:`make_residual_fn` differences them separately.
     """
     return _assemble(
         prob, scatter(prob, x), retr, Ld, Phi, np.zeros(x.shape[:-1] + (3,))
@@ -502,12 +503,30 @@ def _assemble(prob, path, retr, Ld, Phi, closure):
 
 
 def make_residual_fn(prob, retr):
-    """Closure capturing the discretized callbacks once."""
+    """:func:`full_residual` as a function of ``x``, the discretized
+    callbacks captured once.
+
+    The function carries its sparsity as ``fn.pattern``, a
+    :class:`solver.ColumnGroups` colored once over
+    :func:`jacobian_incidence`.  Over it :func:`solver.fd_jacobian`
+    reproduces the dense Jacobian bit for bit from 2 stacked
+    :func:`local_residual` evaluations, one over the "+" and one over the
+    "-" perturbations of every column group, plus ``6 (N-2)`` closure-only
+    chain steps; ``fn`` itself is not called.
+    """
     Ld, Phi = discretize(prob)
 
     def fn(x):
         return full_residual(prob, x, retr, Ld, Phi)
 
+    def local_rows(X):
+        return local_residual(prob, X, retr, Ld, Phi)
+
+    incidence = jacobian_incidence(prob)
+    fn.pattern = solver.ColumnGroups(
+        incidence, solver.greedy_column_groups(incidence),
+        _closure_fill(prob, retr), local_rows,
+    )
     return fn
 
 
@@ -576,33 +595,6 @@ def _closure_fill(prob, retr):
         J[row : row + 3, cols] = (c[0::2] - c[1::2]).T / (2.0 * steps[cols])
 
     return fill
-
-
-def make_jacobian_fn(prob, retr):
-    """Jacobian of ``make_residual_fn(prob, retr)`` with the signature of
-    :func:`solver.fd_jacobian`, whose dense result it reproduces bit for bit.
-
-    The columns are colored once over :func:`jacobian_incidence`.  One
-    Jacobian is 2 stacked :func:`local_residual` evaluations, one over the
-    "+" and one over the "-" perturbations of every column group, plus
-    ``6 (N-2)`` closure-only chain steps.  The residual function handed to
-    the Jacobian is not called; it must be ``make_residual_fn(prob, retr)``.
-    """
-    incidence = jacobian_incidence(prob)
-    Ld, Phi = discretize(prob)
-
-    def local_rows(X):
-        return local_residual(prob, X, retr, Ld, Phi)
-
-    pattern = solver.ColumnGroups(
-        incidence, solver.greedy_column_groups(incidence),
-        _closure_fill(prob, retr), local_rows,
-    )
-
-    def jacobian(residual_fn, x, step=solver.FD_STEP):
-        return solver.fd_jacobian(residual_fn, x, step, pattern)
-
-    return jacobian
 
 
 def refine_guess(prob_coarse, x_coarse, prob_fine):

@@ -10,10 +10,12 @@ costs 2 residual calls per column.  Given a :class:`ColumnGroups` sparsity
 it perturbs whole groups of structurally orthogonal columns at once
 (Curtis, Powell & Reid 1974) and returns the same matrix bit for bit.  The
 "+" and the "-" perturbations of all groups are evaluated as two stacks; a
-pattern with a stacked evaluator answers each stack in one call.  For the
-optimal-control system (:func:`geovar.ocp.make_jacobian_fn`) a Jacobian is
-therefore 2 stacked evaluations of the local rows plus 6 (N-2) closure-only
-chain steps for the 3 terminal-closure rows.
+pattern with a stacked evaluator answers each stack in one call.
+:func:`solve` differences a residual function over the pattern it carries
+as its ``pattern`` attribute, and densely when it carries none.  The
+optimal-control residual (:func:`geovar.ocp.make_residual_fn`) carries one,
+so its Jacobian is 2 stacked evaluations of the local rows plus 6 (N-2)
+closure-only chain steps for the 3 terminal-closure rows.
 """
 
 from __future__ import annotations
@@ -145,15 +147,10 @@ def newton_stack(residual_fn, x, tol, max_iter):
 
 @dataclass
 class SolverConfig:
-    """Newton iteration settings.
-
-    ``jacobian`` has the signature of :func:`fd_jacobian` and must return
-    its matrix; a problem with known sparsity supplies a cheaper one.
-    """
+    """Newton iteration settings."""
 
     tol_residual: float = 1e-10
     max_iters: int = 200
-    jacobian: Callable = fd_jacobian
     # "lu": dense LU, errors on singular systems.  "pseudoinverse":
     # minimal-norm SVD step for consistent systems with a multiplier gauge
     # freedom (e.g. a conservation-law constraint whose windows telescope).
@@ -185,8 +182,10 @@ class SolveResult:
 def solve(residual_fn, x0, cfg=None):
     """Damped Newton iteration on a square nonlinear system.
 
-    Backtracks with an Armijo condition on ``0.5 ||r||^2``; accepted steps
-    never increase the residual 2-norm.  Deterministic for identical inputs.
+    The Jacobian is :func:`fd_jacobian` over ``residual_fn.pattern`` when
+    the residual function carries one.  Backtracks with an Armijo condition
+    on ``0.5 ||r||^2``; accepted steps never increase the residual 2-norm.
+    Deterministic for identical inputs.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -197,11 +196,12 @@ def solve(residual_fn, x0, cfg=None):
             f"system is not square: {r.size} equations, {x.size} unknowns"
         )
     _check_finite(r)
+    pattern = getattr(residual_fn, "pattern", None)
     history = [float(np.abs(r).max())]
     for it in range(cfg.max_iters):
         if history[-1] <= cfg.tol_residual:
             return SolveResult(x, True, it, history, "converged")
-        J = np.asarray(cfg.jacobian(residual_fn, x, FD_STEP))
+        J = fd_jacobian(residual_fn, x, FD_STEP, pattern)
         if cfg.linear_solver == "pseudoinverse":
             dx = np.linalg.lstsq(J, -r, rcond=1e-12)[0]
         else:

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from geovar import cli, discrete, ocp
-from geovar.errors import SizeError
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
 SE2_CONFIG = str(CONFIG_DIR / "se2_vehicle.json")
@@ -153,6 +152,44 @@ def test_solver_table_cannot_set_the_jacobian(tmp_path, capsys):
     assert_config_error(tmp_path, capsys, table, "config field 'solver': 'jacobian'")
 
 
+@pytest.mark.parametrize(
+    "config, where, field, index",
+    [pytest.param(FRB_CONFIG, "boundary", "xi0", (0,), id="vector-xi0"),
+     pytest.param(SE2_CONFIG, "boundary", "qT", (0,), id="vector-qT"),
+     pytest.param(FRB_CONFIG, "boundary", "g0", (2, 2), id="matrix-g0"),
+     pytest.param(FRB_CONFIG, "params", "inertia", (0,), id="params-inertia")],
+)
+def test_boolean_list_entry_is_a_config_error(tmp_path, capsys, config, where, field, index):
+    """true inside a list of numbers is rejected, not read as 1."""
+    table = base_table(config)
+    entries = table[where][field]
+    for i in index[:-1]:
+        entries = entries[i]
+    entries[index[-1]] = True
+    assert_config_error(tmp_path, capsys, table, f"config field '{where}.{field}'")
+
+
+def test_non_string_out_dir_is_a_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("GEOVAR_OUT_DIR", raising=False)
+    table = base_table(FRB_CONFIG)
+    table["out_dir"] = 5
+    code = cli.main(["solve", write_config(tmp_path, table)])
+    assert code == 1
+    assert "config field 'out_dir'" in capsys.readouterr().err
+    assert not (tmp_path / "diagnostics.json").exists()
+
+
+@pytest.mark.parametrize(
+    "config", [SE2_CONFIG, BALL_CONFIG, FRB_CONFIG],
+    ids=["se2_vehicle", "ball_plate", "free_rigid_body"],
+)
+def test_unknown_model_parameter_is_a_config_error(tmp_path, capsys, config):
+    table = base_table(config)
+    table["params"]["inertia_typo"] = [9, 9, 9]
+    assert_config_error(tmp_path, capsys, table, "config field 'params'")
+
+
 # -- solve -------------------------------------------------------------------
 
 
@@ -274,15 +311,6 @@ def test_convergence_floors_the_tolerance_unless_one_is_given(
              "--h-list", "0.1", "0.05", "0.025", *flags]
         )
     assert tols == [expected]
-
-
-def test_unequal_counts_raise_before_solving(tmp_path, monkeypatch):
-    monkeypatch.setattr(ocp, "equation_count", lambda N, n, m: 110)
-    args = cli.make_parser().parse_args(
-        ["solve", SE2_CONFIG, "--out-dir", str(tmp_path)]
-    )
-    with pytest.raises(SizeError, match="109 unknowns but 110 equations"):
-        cli.cmd_solve(args)
 
 
 # -- oracle ------------------------------------------------------------------

@@ -1,9 +1,16 @@
 """Source hygiene: no module in ``src/geovar`` or ``scripts`` imports a name
-it never uses.
+it never uses, and no module in ``src/geovar`` defines a function or class
+that nothing uses.
 
-The check reads the syntax tree only, so it needs no linter: a name bound by
-an ``import`` statement anywhere in a file must appear as a name somewhere
-in the same file.  The package's ``__init__`` re-exports its ``__all__``.
+The checks read the syntax tree only, so they need no linter:
+
+- a name bound by an ``import`` statement anywhere in a file must appear as
+  a name somewhere in the same file; the package's ``__init__`` re-exports
+  its ``__all__``;
+- a top-level function or class of ``src/geovar`` must be referenced in
+  ``src``, ``scripts``, ``tests`` or ``bench``: as a name, an attribute, an
+  imported name or a string constant (the bench tracer patches functions by
+  name).
 """
 
 import ast
@@ -17,6 +24,9 @@ ROOT = Path(__file__).parent.parent
 SOURCES = sorted((ROOT / "src" / "geovar").glob("*.py")) + sorted(
     (ROOT / "scripts").glob("*.py")
 )
+REFERRERS = [
+    p for d in ("src", "scripts", "tests", "bench") for p in sorted((ROOT / d).rglob("*.py"))
+]
 
 
 def unused_imports(source, exempt=()):
@@ -49,3 +59,46 @@ def test_checker_flags_an_unused_import():
 def test_no_unused_imports(path):
     exempt = geovar.__all__ if path.name == "__init__.py" else ()
     assert unused_imports(path.read_text(), exempt) == []
+
+
+def unreferenced_definitions(defining, referring):
+    """``(file, line, name)`` of each top-level function or class of the
+    ``defining`` sources (``{file: source}``) that no ``referring`` source
+    names, reads as an attribute, imports or spells as a string."""
+    used = set()
+    for source in referring:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.update(node.name.split("."))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return sorted(
+        (name, node.lineno, node.name)
+        for name, source in defining.items()
+        for node in ast.parse(source).body
+        if isinstance(node, kinds) and node.name not in used
+    )
+
+
+def test_checker_flags_an_unreferenced_definition():
+    defining = {
+        "model.py": "def factory():\n    pass\n\ndef leftover():\n    pass\n\n"
+                    "class Kept:\n    pass\n",
+        "tracer.py": "import model\nPATCHED = ['factory']\n",
+    }
+    referring = list(defining.values()) + ["from model import Kept\n"]
+    assert unreferenced_definitions(defining, referring) == [("model.py", 4, "leftover")]
+    assert unreferenced_definitions(defining, referring + ["model.leftover()\n"]) == []
+
+
+def test_every_definition_is_referenced():
+    defining = {
+        f"geovar/{p.name}": p.read_text() for p in (ROOT / "src" / "geovar").glob("*.py")
+    }
+    referring = [p.read_text() for p in REFERRERS]
+    assert unreferenced_definitions(defining, referring) == []

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -408,7 +409,7 @@ def test_grouped_jacobian_equals_dense_bit_for_bit(name, N, retraction):
     rng = np.random.default_rng(N)
     x = initial_guess(prob, retr) + 0.02 * rng.normal(size=lay.total)
     J_dense = fd_jacobian(fn, x)
-    assert np.array_equal(ocp.make_jacobian_fn(prob, retr)(fn, x), J_dense)
+    assert np.array_equal(fd_jacobian(fn, x, pattern=fn.pattern), J_dense)
     declared = ocp.jacobian_incidence(prob)
     closure_row = (prob.N - 3) * (prob.n + 3)
     declared[closure_row : closure_row + 3, lay.xi_slice] = True
@@ -461,20 +462,26 @@ def test_stacked_local_rows_equal_full_residual_rows(case, retraction):
 
 @pytest.mark.parametrize("N", [20, 80])
 def test_one_jacobian_is_two_stacked_evaluations(monkeypatch, N):
-    """The grouped Jacobian never calls the residual function: it evaluates
-    the "+" and the "-" perturbations of all column groups as one stack
-    each, and each stack is one assembly."""
+    """The grouped Jacobian of a solve never calls the residual function:
+    it evaluates the "+" and the "-" perturbations of all column groups as
+    one stack each, and each stack is one assembly."""
     prob, retr = fixture_problem("se2_vehicle.json", N)
     fn_calls, stacks, assemblies = [], [], []
+    in_jacobian = []
     fd_jacobian_real = solver.fd_jacobian
     dlp_k_real = discrete.dlp_k_residual
+    residual_fn = ocp.make_residual_fn(prob, retr)
 
     def fn(x):
-        fn_calls.append(x)
-        return ocp.full_residual(prob, x, retr)
+        if in_jacobian:
+            fn_calls.append(x)
+        return residual_fn(x)
+
+    fn.pattern = residual_fn.pattern
 
     def counting_assembly(*args):
-        assemblies.append(args[2].q_nodes.shape)
+        if in_jacobian:
+            assemblies.append(args[2].q_nodes.shape)
         return dlp_k_real(*args)
 
     def counting(residual_fn, x, step, pattern):
@@ -482,13 +489,17 @@ def test_one_jacobian_is_two_stacked_evaluations(monkeypatch, N):
             stacks.append(X.shape)
             return pattern.stacked(X)
 
-        return fd_jacobian_real(
-            residual_fn, x, step, dataclasses.replace(pattern, stacked=stacked)
-        )
+        in_jacobian.append(x)
+        try:
+            return fd_jacobian_real(
+                residual_fn, x, step, dataclasses.replace(pattern, stacked=stacked)
+            )
+        finally:
+            in_jacobian.clear()
 
     monkeypatch.setattr(solver, "fd_jacobian", counting)
     monkeypatch.setattr(discrete, "dlp_k_residual", counting_assembly)
-    ocp.make_jacobian_fn(prob, retr)(fn, initial_guess(prob, retr))
+    solve(fn, initial_guess(prob, retr), SolverConfig(max_iters=1))
     groups_count = len(greedy_column_groups(ocp.jacobian_incidence(prob)))
     assert fn_calls == []
     assert stacks == [(groups_count, layout(prob).total)] * 2
@@ -499,14 +510,33 @@ def test_ball_solve_is_identical_with_grouped_and_dense_jacobians():
     prob, retr = fixture_problem("ball_plate.json", 12)
     fn = ocp.make_residual_fn(prob, retr)
     x0 = initial_guess(prob, retr)
-    cfg = dict(tol_residual=1e-10, max_iters=80, linear_solver="pseudoinverse")
-    dense = solve(fn, x0, SolverConfig(**cfg))
-    grouped = solve(
-        fn, x0, SolverConfig(jacobian=ocp.make_jacobian_fn(prob, retr), **cfg)
-    )
+    cfg = SolverConfig(tol_residual=1e-10, max_iters=80, linear_solver="pseudoinverse")
+    dense = solve(lambda x: fn(x), x0, cfg)
+    grouped = solve(fn, x0, cfg)
     assert dense.converged and grouped.converged
     assert np.array_equal(grouped.x, dense.x)
     assert grouped.residual_history == dense.residual_history
+
+
+def test_default_solve_of_the_ocp_residual_never_differences_the_residual(monkeypatch):
+    """``solve(make_residual_fn(prob, retr), x0)`` with the default config
+    takes the function's own column groups: no residual evaluation happens
+    inside a Jacobian."""
+    prob, retr = fixture_problem("se2_vehicle.json", 20)
+    in_jacobian = []
+    full_real = ocp.full_residual
+
+    def recording(*args):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code.co_name != "fd_jacobian":
+            frame = frame.f_back
+        in_jacobian.append(frame is not None)
+        return full_real(*args)
+
+    monkeypatch.setattr(ocp, "full_residual", recording)
+    result = solve(ocp.make_residual_fn(prob, retr), initial_guess(prob, retr))
+    assert result.converged
+    assert in_jacobian and not any(in_jacobian)
 
 
 # -- helpers -----------------------------------------------------------------
