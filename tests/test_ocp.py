@@ -470,14 +470,14 @@ def test_one_jacobian_is_two_stacked_evaluations(monkeypatch, N):
     in_jacobian = []
     fd_jacobian_real = solver.fd_jacobian
     dlp_k_real = discrete.dlp_k_residual
-    residual_fn = ocp.make_residual_fn(prob, retr)
+    ocp_fn = ocp.make_residual_fn(prob, retr)
 
     def fn(x):
         if in_jacobian:
             fn_calls.append(x)
-        return residual_fn(x)
+        return ocp_fn(x)
 
-    fn.pattern = residual_fn.pattern
+    fn.pattern = ocp_fn.pattern
 
     def counting_assembly(*args):
         if in_jacobian:
