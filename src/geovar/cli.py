@@ -126,13 +126,18 @@ def load_config(path):
     h = _require(cfg, "h", (int, float))
     if not (np.isfinite(h) and h > 0):
         raise ConfigError("h", f"must be finite and positive, got {h}")
-    if model != "free_rigid_body" and N < 6:
-        raise ConfigError("N", f"must be >= 6 for optimal-control models, got {N}")
-    if model == "free_rigid_body" and N < 2:
-        raise ConfigError("N", f"must be >= 2, got {N}")
+    _check_steps(model, N, "N")
     if not isinstance(cfg.get("out_dir", ""), str):
         raise ConfigError("out_dir", f"expected a string, got {cfg['out_dir']!r}")
     return cfg
+
+
+def _check_steps(model, N, field):
+    """The step count ``N`` of a run of ``model`` is at least the minimum:
+    6 for the optimal-control stencils, 2 for the rigid-body flow."""
+    low = 2 if model == "free_rigid_body" else 6
+    if N < low:
+        raise ConfigError(field, f"need N >= {low} for {model}, got N = {N}")
 
 
 def _build_params(cfg):
@@ -436,9 +441,10 @@ def cmd_convergence(args):
     if max(ratios) - min(ratios) > 1e-9:
         raise ConfigError("h-list", "step sizes must form a geometric sequence")
     T = cfg["N"] * cfg["h"]
+    rungs = [(_int_steps(cfg["model"], T, hh), hh) for hh in h_list]
     directory = out_dir(cfg, args)
     ladder = _ladder_frb if cfg["model"] == "free_rigid_body" else _ladder_ocp
-    runs = ladder(cfg, args, h_list, T)
+    runs = ladder(cfg, args, rungs)
     h_f, t_f, table_f = runs[-1]
     rows = [(hh, _max_gap(t, table, t_f, table_f)) for hh, t, table in runs[:-1]]
     slope = fit_slope([r[0] for r in rows], [r[1] for r in rows])
@@ -450,10 +456,13 @@ def cmd_convergence(args):
     return EXIT_OK
 
 
-def _int_steps(T, hh):
+def _int_steps(model, T, hh):
+    """Steps of size ``hh`` spanning the horizon ``T``; a rung must have an
+    integer number of them and no fewer than a run of ``model`` needs."""
     N = int(round(T / hh))
     if abs(N * hh - T) > 1e-9 * T:
         raise ConfigError("h-list", f"T = {T} is not an integer multiple of h = {hh}")
+    _check_steps(model, N, "h-list")
     return N
 
 
@@ -465,10 +474,10 @@ def fit_slope(hs, errs):
     return float(sol[0])
 
 
-def _ladder_ocp(cfg, args, h_list, T):
-    """Solve every rung, each finer one warm-started from the one before;
-    returns ``(h, node times, [q | g entries] node table)`` per rung."""
-    probs = [build_problem(cfg, N=_int_steps(T, hh), h=hh)[0] for hh in h_list]
+def _ladder_ocp(cfg, args, rungs):
+    """Solve every ``(N, h)`` rung, each finer one warm-started from the one
+    before; returns ``(h, node times, [q | g entries] node table)`` per rung."""
+    probs = [build_problem(cfg, N=N, h=hh)[0] for N, hh in rungs]
     retr = make_retraction(retraction_kind(cfg, args), probs[0].group_tag)
     # Refinement studies compare trajectories at discretization-error
     # scale; avoid grinding on the finite-difference Jacobian floor
@@ -491,13 +500,13 @@ def _ladder_ocp(cfg, args, h_list, T):
     return runs
 
 
-def _ladder_frb(cfg, args, h_list, T):
-    """The rigid-body flow at every rung; returns ``(h, node times, xi node
-    table)`` per rung."""
+def _ladder_frb(cfg, args, rungs):
+    """The rigid-body flow at every ``(N, h)`` rung; returns ``(h, node
+    times, xi node table)`` per rung."""
     _, _, flow = _rigid_body(cfg, args)
     runs = []
-    for hh in h_list:
-        xi_nodes, _, stuck = flow(_int_steps(T, hh), hh)
+    for N, hh in rungs:
+        xi_nodes, _, stuck = flow(N, hh)
         if stuck:
             raise GeovarError(
                 f"inner solve failed at h = {hh}: step {stuck[0]} hit the Newton cap"

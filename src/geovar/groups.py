@@ -186,16 +186,10 @@ def so3_polar_project(g):
     U, _, Vt = np.linalg.svd(g)
     R = U @ Vt
     # enforce det +1 by flipping the smallest singular direction if needed
-    det = np.linalg.det(R)
-    if R.ndim == 2:
-        if det < 0:
-            U[:, -1] *= -1.0
-            R = U @ Vt
-    else:
-        flip = det < 0
-        if np.any(flip):
-            U[flip, :, -1] *= -1.0
-            R = U @ Vt
+    flip = np.linalg.det(R) < 0
+    if np.any(flip):
+        U[flip, :, -1] *= -1.0
+        R = U @ Vt
     return R
 
 
@@ -215,8 +209,6 @@ def renormalize(g, tag, trigger=_POLAR_TRIGGER):
     """
     if tag != SO3:
         return g
-    if g.ndim == 2:
-        return so3_polar_project(g) if orthogonality_defect(g, tag) > trigger else g
     drift = np.abs(np.swapaxes(g, -1, -2) @ g - np.eye(3)).max(axis=(-2, -1))
     far = drift > trigger
     if not np.any(far):

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -91,7 +90,7 @@ def se2_ltilde(params):
     """Second-order Lagrangian: the control cost ``rho1 u1^2 + rho2 u2^2``
     expressed through the reduced state."""
 
-    def ltilde(q, dq, ddq, xi, dxi, t):
+    def ltilde(q, dq, ddq, xi, dxi):
         u1, u2 = se2_controls(params, q, dq, ddq, xi, dxi)
         return params.rho1 * u1 * u1 + params.rho2 * u2 * u2
 
@@ -102,7 +101,7 @@ def se2_phi(params):
     """The two unactuated-direction constraints of the vehicle."""
     P = params
 
-    def phi(q, dq, ddq, xi, dxi, t):
+    def phi(q, dq, ddq, xi, dxi):
         x1, x2, x3, dx1, dx2, dx3 = _se2_split(xi, dxi)
         g = q[:, 0]
         dg = dq[:, 0]
@@ -127,7 +126,7 @@ def se2_d_ltilde(params):
     """Analytic gradient of the vehicle's second-order Lagrangian."""
     P = params
 
-    def d_ltilde(q, dq, ddq, xi, dxi, t):
+    def d_ltilde(q, dq, ddq, xi, dxi):
         B = q.shape[0]
         x1, x2, x3, dx1, dx2, dx3 = _se2_split(xi, dxi)
         g = q[:, 0]
@@ -164,7 +163,7 @@ def se2_d_phi(params):
     """Analytic gradients of the vehicle constraints (leading axis: constraint)."""
     P = params
 
-    def d_phi(q, dq, ddq, xi, dxi, t):
+    def d_phi(q, dq, ddq, xi, dxi):
         B = q.shape[0]
         x1, x2, x3, dx1, dx2, dx3 = _se2_split(xi, dxi)
         g = q[:, 0]
@@ -239,7 +238,7 @@ def se2_raw_rows(params):
     """
     P = params
 
-    def rows(q, dq, ddq, xi, dxi, t):
+    def rows(q, dq, ddq, xi, dxi):
         B = q.shape[0]
         x1, x2, x3, dx1, dx2, dx3 = _se2_split(xi, dxi)
         dg = dq[:, 0]
@@ -324,8 +323,7 @@ def se2_equation_mismatch(params, seed=0, samples=50):
     ddq = rng.normal(size=(samples, 1))
     xi = rng.normal(size=(samples, 3))
     dxi = rng.normal(size=(samples, 3))
-    t = np.zeros(samples)
-    closed = se2_raw_rows(params)(q, dq, ddq, xi, dxi, t)
+    closed = se2_raw_rows(params)(q, dq, ddq, xi, dxi)
     ell = se2_reduced_lagrangian(params)
     derived = controlled_rows_from_lagrangian(
         ell, q, dq, ddq, xi, dxi, groups.SE2
@@ -341,55 +339,26 @@ def se2_equation_mismatch(params, seed=0, samples=50):
 @dataclass
 class BallPlateParams:
     """Homogeneous ball of radius ``r`` and gyration radius squared ``k2``
-    rolling on a plate rotating at angular velocity ``Omega`` (a constant
-    or a callback ``t -> Omega(t)``; supply ``domega``/``ddomega`` for the
-    continuous reference equations in the time-dependent case)."""
+    rolling on a plate rotating at the constant angular velocity
+    ``omega``."""
 
     r: float = 0.1
     k2: float = 0.004
-    omega: Union[float, Callable] = 1.0
-    domega: Optional[Callable] = None
-    ddomega: Optional[Callable] = None
+    omega: float = 1.0
 
     def __post_init__(self):
         _check_positive(self, ("r", "k2"))
-        if not (callable(self.omega) or _is_number(self.omega)):
-            raise ConfigError(
-                "omega", f"must be a finite number or a callable, got {self.omega!r}"
-            )
+        if not _is_number(self.omega):
+            raise ConfigError("omega", f"must be a finite number, got {self.omega!r}")
 
     @property
-    def time_dependent(self):
-        return callable(self.omega)
-
-    def omega_value(self, t):
-        return self.omega(t) if self.time_dependent else self.omega + 0.0 * np.asarray(t)
-
-    def domega_value(self, t):
-        if not self.time_dependent:
-            return 0.0 * np.asarray(t)
-        if self.domega is None:
-            raise ConfigError(
-                "domega", "time-dependent Omega requires its first derivative"
-            )
-        return self.domega(t)
-
-    def ddomega_value(self, t):
-        if not self.time_dependent:
-            return 0.0 * np.asarray(t)
-        if self.ddomega is None:
-            raise ConfigError(
-                "ddomega", "time-dependent Omega requires its second derivative"
-            )
-        return self.ddomega(t)
-
-    def coupling(self, t):
-        """The coefficient c(t) = k^2 Omega(t) / (r^2 + k^2)."""
-        return self.k2 * self.omega_value(t) / (self.r**2 + self.k2)
+    def coupling(self):
+        """The coefficient c = k^2 Omega / (r^2 + k^2)."""
+        return self.k2 * self.omega / (self.r**2 + self.k2)
 
 
-def ball_controls(params, q, dq, ddq, t):
-    c = params.coupling(t)
+def ball_controls(params, q, dq, ddq):
+    c = params.coupling
     u1 = ddq[:, 0] + c * dq[:, 1]
     u2 = ddq[:, 1] - c * dq[:, 0]
     return u1, u2
@@ -398,8 +367,8 @@ def ball_controls(params, q, dq, ddq, t):
 def ball_ltilde(params):
     """Half the squared control effort of the rolling ball."""
 
-    def ltilde(q, dq, ddq, xi, dxi, t):
-        u1, u2 = ball_controls(params, q, dq, ddq, t)
+    def ltilde(q, dq, ddq, xi, dxi):
+        u1, u2 = ball_controls(params, q, dq, ddq)
         return 0.5 * (u1 * u1 + u2 * u2)
 
     return ltilde
@@ -410,10 +379,9 @@ def ball_phi(params):
     vertical angular velocity."""
     P = params
 
-    def phi(q, dq, ddq, xi, dxi, t):
-        Om = P.omega_value(t)
-        phi1 = xi[:, 0] + dq[:, 1] / P.r - Om * q[:, 0] / P.r
-        phi2 = xi[:, 1] - dq[:, 0] / P.r - Om * q[:, 1] / P.r
+    def phi(q, dq, ddq, xi, dxi):
+        phi1 = xi[:, 0] + dq[:, 1] / P.r - P.omega * q[:, 0] / P.r
+        phi2 = xi[:, 1] - dq[:, 0] / P.r - P.omega * q[:, 1] / P.r
         phi3 = dxi[:, 2]
         return np.stack([phi1, phi2, phi3], axis=1)
 
@@ -421,10 +389,10 @@ def ball_phi(params):
 
 
 def ball_d_ltilde(params):
-    def d_ltilde(q, dq, ddq, xi, dxi, t):
+    def d_ltilde(q, dq, ddq, xi, dxi):
         B = q.shape[0]
-        c = params.coupling(t)
-        u1, u2 = ball_controls(params, q, dq, ddq, t)
+        c = params.coupling
+        u1, u2 = ball_controls(params, q, dq, ddq)
         gq = np.zeros((B, 2))
         gdq = np.stack([-c * u2, c * u1], axis=1)
         gddq = np.stack([u1, u2], axis=1)
@@ -438,18 +406,17 @@ def ball_d_ltilde(params):
 def ball_d_phi(params):
     P = params
 
-    def d_phi(q, dq, ddq, xi, dxi, t):
+    def d_phi(q, dq, ddq, xi, dxi):
         B = q.shape[0]
-        Om = P.omega_value(t) + np.zeros(B)
         gq = np.zeros((B, 3, 2))
         gdq = np.zeros((B, 3, 2))
         gddq = np.zeros((B, 3, 2))
         gxi = np.zeros((B, 3, 3))
         gdxi = np.zeros((B, 3, 3))
-        gq[:, 0, 0] = -Om / P.r
+        gq[:, 0, 0] = -P.omega / P.r
         gdq[:, 0, 1] = 1.0 / P.r
         gxi[:, 0, 0] = 1.0
-        gq[:, 1, 1] = -Om / P.r
+        gq[:, 1, 1] = -P.omega / P.r
         gdq[:, 1, 0] = -1.0 / P.r
         gxi[:, 1, 1] = 1.0
         gdxi[:, 2, 2] = 1.0
@@ -490,10 +457,10 @@ def ball_controlled_system(params):
     directly.
     """
 
-    def raw(q, dq, ddq, xi, dxi, t):
+    def raw(q, dq, ddq, xi, dxi):
         B = q.shape[0]
         E = np.zeros((B, 5))
-        u1, u2 = ball_controls(params, q, dq, ddq, t)
+        u1, u2 = ball_controls(params, q, dq, ddq)
         E[:, 0] = u1
         E[:, 1] = u2
         return E
@@ -529,7 +496,7 @@ def ball_controlled_system(params):
 
 
 def ball_continuous_residual(x_derivs, y_derivs, omega, domega, lam, dlam,
-                             params, t):
+                             params):
     """Residual of the eight continuous stationarity equations of the ball.
 
     Parameters
@@ -542,32 +509,20 @@ def ball_continuous_residual(x_derivs, y_derivs, omega, domega, lam, dlam,
         Multipliers ``(lambda_1, lambda_2, nu)`` and their derivatives,
         where ``nu`` is the multiplier conjugate to the conservation-law
         constraint (minus the derivative of the raw third multiplier).
-    t : float
 
     Used only as a diagnostic on reconstructed continuous-limit data.
     """
     P = params
     x, dx, ddx, dddx, d4x = x_derivs
     y, dy, ddy, dddy, d4y = y_derivs
-    Om = float(P.omega_value(t))
-    denom = P.r**2 + P.k2
-    c = P.k2 * Om / denom
-    cd = P.k2 * float(P.domega_value(t)) / denom
-    cdd = P.k2 * float(P.ddomega_value(t)) / denom
+    Om = P.omega
+    c = P.coupling
     w1, w2, w3 = omega
     l1, l2, nu = lam
     dl1, dl2, dnu = dlam
     res = np.empty(8)
-    res[0] = (
-        d4x + cdd * dy + 3.0 * cd * ddy + 2.0 * c * dddy
-        - 2.0 * c * cd * dx - c * c * ddx
-        - l1 * Om / P.r + dl2 / P.r
-    )
-    res[1] = (
-        d4y - cdd * dx - 3.0 * cd * ddx - 2.0 * c * dddx
-        - 2.0 * c * cd * dy - c * c * ddy
-        - dl1 / P.r - l2 * Om / P.r
-    )
+    res[0] = d4x + 2.0 * c * dddy - c * c * ddx - l1 * Om / P.r + dl2 / P.r
+    res[1] = d4y - 2.0 * c * dddx - c * c * ddy - dl1 / P.r - l2 * Om / P.r
     res[2] = dl1 + l2 * w3 - nu * w2
     res[3] = dl2 - l1 * w3 + nu * w1
     res[4] = dnu + l1 * w2 - l2 * w1
@@ -622,7 +577,7 @@ def ball_continuous_diagnostic(path, params, trim=0.2, samples=121):
             xd, yd, sw(t), sw.derivative(1)(t),
             np.array([lv[0], lv[1], -dlv[2]]),
             np.array([dlv[0], dlv[1], -ddlv[2]]),
-            params, t,
+            params,
         )
         worst = max(worst, float(np.abs(res).max()))
     return worst

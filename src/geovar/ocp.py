@@ -79,8 +79,8 @@ class BoundaryData:
 class SecondOrderProblem:
     """Second-order variational problem with second-order constraints.
 
-    ``ltilde(q, dq, ddq, xi, dxi, t)`` and ``phi(...)-> (B, m)`` are
-    vectorized over evaluation points.
+    ``ltilde(q, dq, ddq, xi, dxi) -> (B,)`` and ``phi(...) -> (B, m)`` are
+    autonomous and vectorized over evaluation points.
     """
 
     n: int
@@ -118,7 +118,7 @@ class SecondOrderProblem:
 class ControlledSystem:
     """Controlled underactuated system on TM x g.
 
-    ``raw_residual(q, dq, ddq, xi, dxi, t) -> (B, n+3)`` are the rows of
+    ``raw_residual(q, dq, ddq, xi, dxi) -> (B, n+3)`` are the rows of
     the controlled Euler-Lagrange operator in coordinates (M components
     first, then algebra components in group coordinate order).
 
@@ -201,19 +201,19 @@ def _dual_basis(sys, q):
 def reduce_to_variational(sys, boundary, N, h, trivialization=LEFT):
     """Build the second-order problem ``(Ltilde, Phi)`` from a controlled system."""
 
-    def F(q, dq, ddq, xi, dxi, t):
-        E = sys.raw_residual(q, dq, ddq, xi, dxi, t)
+    def F(q, dq, ddq, xi, dxi):
+        E = sys.raw_residual(q, dq, ddq, xi, dxi)
         V = _dual_basis(sys, q)
         return np.einsum("bc,bca->ba", E, V[:, :, : sys.r])
 
-    def ltilde(q, dq, ddq, xi, dxi, t):
-        return sys.cost(q, dq, xi, F(q, dq, ddq, xi, dxi, t))
+    def ltilde(q, dq, ddq, xi, dxi):
+        return sys.cost(q, dq, xi, F(q, dq, ddq, xi, dxi))
 
     if sys.direct_constraints is not None:
         phi = sys.direct_constraints
     else:
-        def phi(q, dq, ddq, xi, dxi, t):
-            E = sys.raw_residual(q, dq, ddq, xi, dxi, t)
+        def phi(q, dq, ddq, xi, dxi):
+            E = sys.raw_residual(q, dq, ddq, xi, dxi)
             V = _dual_basis(sys, q)
             return np.einsum("bc,bca->ba", E, V[:, :, sys.r :])
 
@@ -251,31 +251,27 @@ def stencil_point(qs, xis, h):
 def discretize(prob):
     """Discrete Lagrangian (scaled by h) and constraint set on the stencils.
 
-    Window ``w`` is evaluated at time ``t_w = (w+1) h`` (the center node).
     Windows of a stack of paths, ``(P, B, n)``, reach the model callbacks as
-    ``P B`` rows with the window times repeated per path.
+    ``P B`` rows.
     """
     h = prob.h
 
     def rows(qs, xis):
-        """Stencil point as ``(rows, .)`` arrays, their times and the window shape."""
+        """Stencil point as ``(rows, .)`` arrays and the window shape."""
         point = stencil_point(qs, xis, h)
         lead = point[0].shape[:-1]
-        flat = [a.reshape(-1, a.shape[-1]) for a in point]
-        B = lead[-1]
-        t = np.tile((np.arange(B) + 1.0) * h, flat[0].shape[0] // B)
-        return flat, t, lead
+        return [a.reshape(-1, a.shape[-1]) for a in point], lead
 
     def unflatten(arrays, lead):
         return [a.reshape(lead + a.shape[1:]) for a in arrays]
 
     def ld(qs, xis):
-        flat, t, lead = rows(qs, xis)
-        return h * prob.ltilde(*flat, t).reshape(lead)
+        flat, lead = rows(qs, xis)
+        return h * prob.ltilde(*flat).reshape(lead)
 
     def phid(qs, xis):
-        flat, t, lead = rows(qs, xis)
-        return prob.phi(*flat, t).reshape(lead + (prob.m,))
+        flat, lead = rows(qs, xis)
+        return prob.phi(*flat).reshape(lead + (prob.m,))
 
     def chain(gq, gdq, gddq, gxi, gdxi, scale):
         # slot derivatives of the stencil composition
@@ -294,13 +290,13 @@ def discretize(prob):
     d_phid = None
     if prob.d_ltilde is not None:
         def d_ld(qs, xis):
-            flat, t, lead = rows(qs, xis)
-            return chain(*unflatten(prob.d_ltilde(*flat, t), lead), scale=h)
+            flat, lead = rows(qs, xis)
+            return chain(*unflatten(prob.d_ltilde(*flat), lead), scale=h)
 
     if prob.d_phi is not None:
         def d_phid(qs, xis):
-            flat, t, lead = rows(qs, xis)
-            return chain(*unflatten(prob.d_phi(*flat, t), lead), scale=1.0)
+            flat, lead = rows(qs, xis)
+            return chain(*unflatten(prob.d_phi(*flat), lead), scale=1.0)
 
     Ld = DiscreteLagrangian(order=K_ORDER, eval=ld, d_eval=d_ld)
     Phi = DiscreteConstraintSet(m=prob.m, eval=phid, d_eval=d_phid)

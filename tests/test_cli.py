@@ -181,12 +181,16 @@ def test_non_string_out_dir_is_a_config_error(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "config", [SE2_CONFIG, BALL_CONFIG, FRB_CONFIG],
-    ids=["se2_vehicle", "ball_plate", "free_rigid_body"],
+    "config, key, value",
+    [pytest.param(SE2_CONFIG, "inertia_typo", [9, 9, 9], id="se2_vehicle"),
+     pytest.param(BALL_CONFIG, "inertia_typo", [9, 9, 9], id="ball_plate"),
+     pytest.param(FRB_CONFIG, "inertia_typo", [9, 9, 9], id="free_rigid_body"),
+     pytest.param(BALL_CONFIG, "domega", 5.0, id="ball_plate-domega"),
+     pytest.param(BALL_CONFIG, "ddomega", "nonsense", id="ball_plate-ddomega")],
 )
-def test_unknown_model_parameter_is_a_config_error(tmp_path, capsys, config):
+def test_unknown_model_parameter_is_a_config_error(tmp_path, capsys, config, key, value):
     table = base_table(config)
-    table["params"]["inertia_typo"] = [9, 9, 9]
+    table["params"][key] = value
     assert_config_error(tmp_path, capsys, table, "config field 'params'")
 
 
@@ -429,6 +433,25 @@ def test_convergence_rejects_non_positive_step_sizes(tmp_path, capsys, config, h
     err = capsys.readouterr().err
     assert "config field 'h-list'" in err
     assert "must be positive" in err
+    assert not (tmp_path / "convergence.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "config, h_list, low",
+    [pytest.param(SE2_CONFIG, ["1", "0.5", "0.25"], 6, id="se2_vehicle"),
+     pytest.param(FRB_CONFIG, ["2", "1", "0.5"], 2, id="free_rigid_body")],
+)
+def test_convergence_rejects_a_rung_below_the_step_minimum(
+        tmp_path, capsys, config, h_list, low):
+    """Both fixtures span T = 2, so the coarsest rung has N = 2 (vehicle)
+    or N = 1 (rigid body); the run stops before any solve."""
+    code = cli.main(
+        ["convergence", config, "--out-dir", str(tmp_path), "--h-list", *h_list]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config field 'h-list'" in err
+    assert f"need N >= {low}" in err
     assert not (tmp_path / "convergence.csv").exists()
 
 

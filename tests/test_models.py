@@ -41,7 +41,7 @@ def random_args(rng, B, n):
     return (
         rng.normal(size=(B, n)), rng.normal(size=(B, n)),
         rng.normal(size=(B, n)), rng.normal(size=(B, 3)),
-        rng.normal(size=(B, 3)), rng.uniform(0, 1, size=B),
+        rng.normal(size=(B, 3)),
     )
 
 
@@ -73,8 +73,8 @@ def test_rigid_body_inertia_validated():
 def test_vehicle_rest_state_is_trivial():
     prob = se2_vehicle_problem(Se2VehicleParams(), se2_boundary(), 8, 0.1)
     z1, z3 = np.zeros((1, 1)), np.zeros((1, 3))
-    assert np.abs(prob.phi(z1, z1, z1, z3, z3, np.zeros(1))).max() == 0.0
-    assert prob.ltilde(z1, z1, z1, z3, z3, np.zeros(1))[0] == 0.0
+    assert np.abs(prob.phi(z1, z1, z1, z3, z3)).max() == 0.0
+    assert prob.ltilde(z1, z1, z1, z3, z3)[0] == 0.0
 
 
 def test_vehicle_first_constraint_spot_value():
@@ -84,7 +84,7 @@ def test_vehicle_first_constraint_spot_value():
     xi[0, 1] = 1.0  # model label xi1 (body-frame forward rate)
     xi[0, 0] = 1.0  # model label xi3 (rotation rate)
     z1, z3 = np.zeros((1, 1)), np.zeros((1, 3))
-    out = prob.phi(z1, z1, z1, xi, z3, np.zeros(1))
+    out = prob.phi(z1, z1, z1, xi, z3)
     assert abs(out[0, 0] - (-P.m + P.J1 + P.J2)) < 1e-14
 
 
@@ -96,7 +96,7 @@ def test_vehicle_cost_spot_value():
     dxi[0, 0] = a  # model label dxi3
     ddq = np.array([[b]])
     z1, z3 = np.zeros((1, 1)), np.zeros((1, 3))
-    out = prob.ltilde(z1, z1, ddq, z3, dxi, np.zeros(1))
+    out = prob.ltilde(z1, z1, ddq, z3, dxi)
     assert abs(out[0] - P.rho2 * P.J2**2 * (a + b) ** 2) < 1e-14
 
 
@@ -115,12 +115,12 @@ def test_vehicle_elimination_identities():
     basis reproduces the hand-coded constraints and control expressions."""
     P = Se2VehicleParams()
     rng = np.random.default_rng(1)
-    q, dq, ddq, xi, dxi, t = random_args(rng, 50, 1)
-    E = se2_raw_rows(P)(q, dq, ddq, xi, dxi, t)  # columns (gamma, rot, tx, ty)
+    q, dq, ddq, xi, dxi = random_args(rng, 50, 1)
+    E = se2_raw_rows(P)(q, dq, ddq, xi, dxi)  # columns (gamma, rot, tx, ty)
     g = q[:, 0]
     cg, sg = np.cos(g), np.sin(g)
     prob = se2_vehicle_problem(P, se2_boundary(), 8, 0.1)
-    phi = prob.phi(q, dq, ddq, xi, dxi, t)
+    phi = prob.phi(q, dq, ddq, xi, dxi)
     assert np.abs(phi[:, 0] - (cg * E[:, 3] - sg * E[:, 2])).max() < 1e-9
     assert np.abs(phi[:, 1] - (E[:, 1] / P.p + E[:, 3])).max() < 1e-9
     u1, u2 = models.se2_controls(P, q, dq, ddq, xi, dxi)
@@ -158,17 +158,16 @@ def test_vehicle_analytic_gradients_match_finite_differences():
 def test_ball_rest_state_is_trivial():
     prob = ball_plate_problem(BallPlateParams(), ball_boundary(), 8, 0.1)
     z2, z3 = np.zeros((1, 2)), np.zeros((1, 3))
-    assert np.abs(prob.phi(z2, z2, z2, z3, z3, np.zeros(1))).max() == 0.0
-    assert prob.ltilde(z2, z2, z2, z3, z3, np.zeros(1))[0] == 0.0
+    assert np.abs(prob.phi(z2, z2, z2, z3, z3)).max() == 0.0
+    assert prob.ltilde(z2, z2, z2, z3, z3)[0] == 0.0
 
 
 def test_ball_first_constraint_spot_value():
-    P = BallPlateParams(omega=lambda t: 0.0 * np.asarray(t))
+    P = BallPlateParams(omega=0.0)
     phi = ball_phi(P)
     q = np.zeros((1, 2))
     dq = np.array([[0.0, P.r]])  # dy = r
-    out = phi(q, dq, np.zeros((1, 2)), np.zeros((1, 3)), np.zeros((1, 3)),
-              np.zeros(1))
+    out = phi(q, dq, np.zeros((1, 2)), np.zeros((1, 3)), np.zeros((1, 3)))
     assert abs(out[0, 0] - 1.0) < 1e-14
 
 
@@ -176,7 +175,7 @@ def test_ball_cost_spot_value():
     prob = ball_plate_problem(BallPlateParams(), ball_boundary(), 8, 0.1)
     ddq = np.array([[1.0, 0.0]])
     z2, z3 = np.zeros((1, 2)), np.zeros((1, 3))
-    out = prob.ltilde(z2, z2, ddq, z3, z3, np.zeros(1))
+    out = prob.ltilde(z2, z2, ddq, z3, z3)
     assert abs(out[0] - 0.5) < 1e-14
 
 
@@ -194,12 +193,7 @@ def test_ball_hand_coded_matches_generic_route():
 
 
 def test_ball_analytic_gradients_match_finite_differences():
-    prob = ball_plate_problem(
-        BallPlateParams(omega=lambda t: 1.0 + 0.3 * np.sin(t),
-                        domega=lambda t: 0.3 * np.cos(t),
-                        ddomega=lambda t: -0.3 * np.sin(t)),
-        ball_boundary(), 8, 0.1,
-    )
+    prob = ball_plate_problem(BallPlateParams(omega=1.3), ball_boundary(), 8, 0.1)
     _check_gradients(prob, n=2, seed=5)
 
 
@@ -208,47 +202,16 @@ def test_ball_uses_right_trivialization_by_default():
     assert prob.trivialization == "right"
 
 
-def test_time_dependent_omega_requires_derivative_callbacks():
-    P = BallPlateParams(omega=lambda t: 1.0 + 0.0 * np.asarray(t))
-    with pytest.raises(ConfigError, match="domega"):
-        P.domega_value(0.0)
-    with pytest.raises(ConfigError, match="ddomega"):
-        P.ddomega_value(0.0)
-
-
 # -- ball continuous reference equations -------------------------------------
 
 
 def test_ball_continuous_residual_zero_state():
-    P = BallPlateParams(omega=lambda t: 0.0 * np.asarray(t),
-                        domega=lambda t: 0.0 * np.asarray(t),
-                        ddomega=lambda t: 0.0 * np.asarray(t))
+    P = BallPlateParams(omega=0.0)
     res = ball_continuous_residual(
         np.zeros(5), np.zeros(5), np.zeros(3), np.zeros(3),
-        np.zeros(3), np.zeros(3), P, 0.3,
+        np.zeros(3), np.zeros(3), P,
     )
     assert np.abs(res).max() == 0.0
-
-
-def test_ball_constant_omega_equals_time_dependent_with_zero_derivatives():
-    Om = 0.8
-    P_const = BallPlateParams(omega=Om)
-    P_td = BallPlateParams(
-        omega=lambda t: Om + 0.0 * np.asarray(t),
-        domega=lambda t: 0.0 * np.asarray(t),
-        ddomega=lambda t: 0.0 * np.asarray(t),
-    )
-    rng = np.random.default_rng(6)
-    for _ in range(20):
-        args = (
-            rng.normal(size=5), rng.normal(size=5), rng.normal(size=3),
-            rng.normal(size=3), rng.normal(size=3), rng.normal(size=3),
-        )
-        t = rng.uniform(0, 1)
-        assert np.abs(
-            ball_continuous_residual(*args, P_const, t)
-            - ball_continuous_residual(*args, P_td, t)
-        ).max() < 1e-14
 
 
 def test_ball_vertical_spin_row_matches_discrete_constraint():
@@ -259,12 +222,12 @@ def test_ball_vertical_spin_row_matches_discrete_constraint():
     domega = rng.normal(size=3)
     res = ball_continuous_residual(
         rng.normal(size=5), rng.normal(size=5), rng.normal(size=3),
-        domega, rng.normal(size=3), rng.normal(size=3), P, 0.1,
+        domega, rng.normal(size=3), rng.normal(size=3), P,
     )
     assert res[7] == domega[2]
     phi = ball_phi(P)
     out = phi(np.zeros((1, 2)), np.zeros((1, 2)), np.zeros((1, 2)),
-              np.zeros((1, 3)), domega[None, :], np.zeros(1))
+              np.zeros((1, 3)), domega[None, :])
     assert out[0, 2] == domega[2]
 
 
@@ -276,11 +239,11 @@ def test_ball_rolling_constraint_rows_match_discrete_constraints():
     w = rng.normal(size=3)
     res = ball_continuous_residual(
         np.array([x, dx, 0, 0, 0]), np.array([y, dy, 0, 0, 0]),
-        w, np.zeros(3), np.zeros(3), np.zeros(3), P, 0.0,
+        w, np.zeros(3), np.zeros(3), np.zeros(3), P,
     )
     phi = ball_phi(P)
     out = phi(np.array([[x, y]]), np.array([[dx, dy]]), np.zeros((1, 2)),
-              w[None, :], np.zeros((1, 3)), np.zeros(1))
+              w[None, :], np.zeros((1, 3)))
     assert abs(res[5] - out[0, 0]) < 1e-14
     assert abs(res[6] - out[0, 1]) < 1e-14
 
@@ -319,8 +282,8 @@ def _check_gradients(prob, n, seed, tol=1e-6):
     for slot in range(5):
         width = args[slot].shape[1]
         for c in range(width):
-            hi = [a.copy() if isinstance(a, np.ndarray) else a for a in args]
-            lo = [a.copy() if isinstance(a, np.ndarray) else a for a in args]
+            hi = [a.copy() for a in args]
+            lo = [a.copy() for a in args]
             hi[slot][:, c] += eps
             lo[slot][:, c] -= eps
             fd_l = (prob.ltilde(*hi) - prob.ltilde(*lo)) / (2 * eps)
