@@ -495,15 +495,14 @@ def ball_controlled_system(params):
     )
 
 
-def ball_continuous_residual(x_derivs, y_derivs, omega, domega, lam, dlam,
-                             params):
+def ball_continuous_residual(x_derivs, y_derivs, w, dw, lam, dlam, params):
     """Residual of the eight continuous stationarity equations of the ball.
 
     Parameters
     ----------
     x_derivs, y_derivs : (5,) arrays
         Value and derivatives up to fourth order of the contact point.
-    omega, domega : (3,) arrays
+    w, dw : (3,) arrays
         Spatial angular velocity and its derivative.
     lam, dlam : (3,) arrays
         Multipliers ``(lambda_1, lambda_2, nu)`` and their derivatives,
@@ -517,7 +516,7 @@ def ball_continuous_residual(x_derivs, y_derivs, omega, domega, lam, dlam,
     y, dy, ddy, dddy, d4y = y_derivs
     Om = P.omega
     c = P.coupling
-    w1, w2, w3 = omega
+    w1, w2, w3 = w
     l1, l2, nu = lam
     dl1, dl2, dnu = dlam
     res = np.empty(8)
@@ -528,7 +527,7 @@ def ball_continuous_residual(x_derivs, y_derivs, omega, domega, lam, dlam,
     res[4] = dnu + l1 * w2 - l2 * w1
     res[5] = w1 + dy / P.r - Om * x / P.r
     res[6] = w2 - dx / P.r - Om * y / P.r
-    res[7] = domega[2]
+    res[7] = dw[2]
     return res
 
 
