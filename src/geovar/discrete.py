@@ -144,7 +144,9 @@ def slot_derivative(f, arrays, slot):
     return out
 
 
-def _window_views(q_nodes, xi_nodes, k):
+def window_views(q_nodes, xi_nodes, k):
+    """The ``k + 1`` q slots and ``k`` xi slots of every window of a
+    (possibly stacked) path, as views, and the window count ``B``."""
     N = q_nodes.shape[-2] - 1
     B = N - k + 1
     qs = [q_nodes[..., j : j + B, :] for j in range(k + 1)]
@@ -176,7 +178,7 @@ def _slot_gradients(Ld, Phi, lambdas, q_nodes, xi_nodes):
     Dxi : list of k arrays (..., B, d)
     """
     k = Ld.order
-    qs, xis, _ = _window_views(q_nodes, xi_nodes, k)
+    qs, xis, _ = window_views(q_nodes, xi_nodes, k)
     if Ld.d_eval is not None and (Phi is None or Phi.d_eval is not None):
         Dq, Dxi = Ld.d_eval(tuple(qs), tuple(xis))
         if Phi is not None:
@@ -296,7 +298,7 @@ def dlp_k_residual(Ld, Phi, path, retr, trivialization=LEFT):
     )
 
     if Phi is not None:
-        qs, xis, _ = _window_views(path.q_nodes, path.xi_nodes, k)
+        qs, xis, _ = window_views(path.q_nodes, path.xi_nodes, k)
         res_phi = Phi.eval(tuple(qs), tuple(xis))
     else:
         res_phi = np.zeros(lead + (N - k + 1, 0))

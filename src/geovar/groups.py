@@ -33,7 +33,8 @@ _ORTHO_TOL = 1e-10
 _POLAR_TRIGGER = 1e-9
 
 
-def _check_tag(tag):
+def check_tag(tag):
+    """Raise ``TagMismatchError`` unless ``tag`` is ``SE2`` or ``SO3``."""
     if tag not in (SE2, SO3):
         raise TagMismatchError(f"unknown group tag {tag!r}")
 
@@ -50,7 +51,7 @@ def hat(v, tag):
     -------
     array, shape (..., 3, 3)
     """
-    _check_tag(tag)
+    check_tag(tag)
     v = np.asarray(v, dtype=float)
     if v.shape[-1] != 3:
         raise AlgebraShapeError(f"expected trailing dimension 3, got {v.shape}")
@@ -72,7 +73,7 @@ def hat(v, tag):
 
 def vee(X, tag, tol=_ORTHO_TOL):
     """Inverse of :func:`hat`; rejects matrices outside the algebra image."""
-    _check_tag(tag)
+    check_tag(tag)
     X = np.asarray(X, dtype=float)
     if X.shape[-2:] != (3, 3):
         raise AlgebraShapeError(f"expected trailing shape (3, 3), got {X.shape}")
@@ -104,13 +105,13 @@ def vee(X, tag, tol=_ORTHO_TOL):
 
 
 def identity(tag):
-    _check_tag(tag)
+    check_tag(tag)
     return np.eye(3)
 
 
 def check_matrix(g, tag, tol=_ORTHO_TOL):
     """Raise :class:`GroupInvariantError` if g violates the group invariants."""
-    _check_tag(tag)
+    check_tag(tag)
     g = np.asarray(g, dtype=float)
     if g.shape[-2:] != (3, 3):
         raise GroupInvariantError(f"expected trailing shape (3, 3), got {g.shape}")
@@ -141,7 +142,7 @@ def check_matrix(g, tag, tol=_ORTHO_TOL):
 
 def inverse_matrix(g, tag):
     """Group inverse in closed form (transpose-based; no linear solves)."""
-    _check_tag(tag)
+    check_tag(tag)
     g = np.asarray(g, dtype=float)
     if tag == SO3:
         return np.swapaxes(g, -1, -2).copy()
@@ -155,7 +156,7 @@ def inverse_matrix(g, tag):
 
 def ad_matrix(v, tag):
     """Matrix of ad_v acting on algebra coordinates."""
-    _check_tag(tag)
+    check_tag(tag)
     v = np.asarray(v, dtype=float)
     if tag == SO3:
         return hat(v, SO3)
@@ -169,7 +170,7 @@ def ad_matrix(v, tag):
 
 def Ad_matrix(g, tag):
     """Matrix of Ad_g acting on algebra coordinates: Ad_g eta = vee(g hat(eta) g^-1)."""
-    _check_tag(tag)
+    check_tag(tag)
     g = np.asarray(g, dtype=float)
     if tag == SO3:
         return g.copy()

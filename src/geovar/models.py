@@ -305,32 +305,6 @@ def se2_controlled_system(params):
     )
 
 
-def se2_equation_mismatch(params, seed=0, samples=50):
-    """Max difference between the vehicle's closed-form controlled rows and
-    the rows derived from the reduced Lagrangian.
-
-    The closed-form rows are treated as ground truth throughout the
-    package; their velocity-coupling terms differ from a mechanical
-    derivation out of the reduced Lagrangian alone, so this diagnostic is
-    expected to be nonzero.  It is reported (never asserted zero) so the
-    discrepancy stays visible.
-    """
-    from .ocp import controlled_rows_from_lagrangian
-
-    rng = np.random.default_rng(seed)
-    q = rng.normal(size=(samples, 1))
-    dq = rng.normal(size=(samples, 1))
-    ddq = rng.normal(size=(samples, 1))
-    xi = rng.normal(size=(samples, 3))
-    dxi = rng.normal(size=(samples, 3))
-    closed = se2_raw_rows(params)(q, dq, ddq, xi, dxi)
-    ell = se2_reduced_lagrangian(params)
-    derived = controlled_rows_from_lagrangian(
-        ell, q, dq, ddq, xi, dxi, groups.SE2
-    )
-    return float(np.abs(closed - derived).max())
-
-
 # ---------------------------------------------------------------------------
 # Ball on a rotating plate
 # ---------------------------------------------------------------------------

@@ -310,7 +310,9 @@ def discretize(prob):
 
 @dataclass
 class Layout:
-    """Strides of the flat unknown vector ``[q | xi | lambda]``."""
+    """Strides of the flat unknown vector ``[q | xi | lambda]`` and the row
+    blocks of the residual ``[M-stationarity | G-stationarity | closure |
+    constraints]``."""
 
     N: int
     n: int
@@ -345,13 +347,22 @@ class Layout:
     def lam_slice(self):
         return slice(self.q_size + self.xi_size, self.total)
 
+    @property
+    def closure_rows(self):
+        start = (self.N - 3) * (self.n + self.d)
+        return slice(start, start + self.d)
+
+    @property
+    def constraint_rows(self):
+        return slice(self.closure_rows.stop, self.closure_rows.stop + self.lam_size)
+
 
 def unknown_count(N, n, m, d=3):
-    return (N - 3) * n + d * (N - 2) + m * (N - 1)
+    return Layout(N, n, m, d).total
 
 
 def equation_count(N, n, m, d=3):
-    return (N - 3) * n + d * (N - 3) + d + m * (N - 1)
+    return Layout(N, n, m, d).constraint_rows.stop
 
 
 def layout(prob):
@@ -544,9 +555,9 @@ def jacobian_incidence(prob):
     xi_col[1 : N - 1] = lay.q_size + np.arange(lay.xi_size).reshape(N - 2, 3)
     lam_col = lay.lam_slice.start + np.arange(lay.lam_size).reshape(N - 1, m)
     stat_row = np.full((N + 1, n + 3), -1)
-    stat_row[2 : N - 1, :n] = np.arange((N - 3) * n).reshape(N - 3, n)
-    stat_row[2 : N - 1, n:] = (N - 3) * n + np.arange((N - 3) * 3).reshape(N - 3, 3)
-    phi_row0 = (N - 3) * (n + 3) + 3
+    stat_row[2 : N - 1, :n] = np.arange(lay.q_size).reshape(N - 3, n)
+    stat_row[2 : N - 1, n:] = lay.q_size + np.arange((N - 3) * 3).reshape(N - 3, 3)
+    phi_row0 = lay.constraint_rows.start
     P = np.zeros((equation_count(N, n, m), lay.total), dtype=bool)
     for w in range(N - 1):
         stat = stat_row[w : w + 3].ravel()
@@ -569,7 +580,6 @@ def _closure_fill(prob, retr):
     """
     lay = layout(prob)
     N, h, tag, triv = prob.N, prob.h, prob.group_tag, prob.trivialization
-    row = (N - 3) * (prob.n + 3)
     cols = np.arange(lay.xi_slice.start, lay.xi_slice.stop)
     # chain 2c (2c + 1) is column c stepped up (down); chains sorted by node
     start = np.repeat(np.arange(1, N - 1), 6)
@@ -588,7 +598,7 @@ def _closure_fill(prob, retr):
             live = np.searchsorted(start, k)  # chains whose node is below k
             ends[:live] = discrete.advance(ends[:live], tau[k], tag, triv)
         c = _terminal_mismatch(prob, ends, retr)
-        J[row : row + 3, cols] = (c[0::2] - c[1::2]).T / (2.0 * steps[cols])
+        J[lay.closure_rows, cols] = (c[0::2] - c[1::2]).T / (2.0 * steps[cols])
 
     return fill
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import groups
-from .discrete import LEFT, RIGHT, _window_views
+from .discrete import LEFT, RIGHT, window_views
 
 
 def xi_from_group(g_nodes, h, retr, trivialization=LEFT):
@@ -38,7 +38,7 @@ def augmented_action(Ld, Phi, lambdas, q_nodes, g_nodes, h, retr,
     """Sum over windows of ``L_d + lambda . Phi_d`` as a function of group nodes."""
     k = Ld.order
     xi_nodes = xi_from_group(g_nodes, h, retr, trivialization)
-    qs, xis, _ = _window_views(q_nodes, xi_nodes, k)
+    qs, xis, _ = window_views(q_nodes, xi_nodes, k)
     vals = Ld.eval(tuple(qs), tuple(xis))
     if Phi is not None:
         vals = vals + np.einsum("bm,bm->b", lambdas, Phi.eval(tuple(qs), tuple(xis)))

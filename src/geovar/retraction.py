@@ -68,7 +68,7 @@ class CayleyRetraction(Retraction):
     """Cayley map in closed form for SE(2) or SO(3)."""
 
     def __init__(self, group_tag):
-        groups._check_tag(group_tag)
+        groups.check_tag(group_tag)
         self.group_tag = group_tag
 
     # -- tau -------------------------------------------------------------
@@ -171,7 +171,7 @@ class TruncExpRetraction(Retraction):
     """Exponential map truncated at a given polynomial order (cross-check tool)."""
 
     def __init__(self, group_tag, order):
-        groups._check_tag(group_tag)
+        groups.check_tag(group_tag)
         if int(order) < 1:
             raise ConfigError("retraction", f"TruncExp order must be >= 1, got {order}")
         self.group_tag = group_tag

@@ -172,7 +172,10 @@ class SolverConfig:
 
 @dataclass
 class SolveResult:
+    """The last iterate ``x`` and the residual vector ``residual`` at it."""
+
     x: np.ndarray
+    residual: np.ndarray
     converged: bool
     iterations: int
     residual_history: List[float] = field(default_factory=list)
@@ -200,7 +203,7 @@ def solve(residual_fn, x0, cfg=None):
     history = [float(np.abs(r).max())]
     for it in range(cfg.max_iters):
         if history[-1] <= cfg.tol_residual:
-            return SolveResult(x, True, it, history, "converged")
+            return SolveResult(x, r, True, it, history, "converged")
         J = fd_jacobian(residual_fn, x, FD_STEP, pattern)
         if cfg.linear_solver == "pseudoinverse":
             dx = np.linalg.lstsq(J, -r, rcond=1e-12)[0]
@@ -222,7 +225,7 @@ def solve(residual_fn, x0, cfg=None):
             t *= _BACKTRACK
         else:
             return SolveResult(
-                x, False, it, history,
+                x, r, False, it, history,
                 "line search stalled (step below 2^-20)",
             )
         x = x_trial
@@ -230,7 +233,7 @@ def solve(residual_fn, x0, cfg=None):
         history.append(float(np.abs(r).max()))
     converged = history[-1] <= cfg.tol_residual
     msg = "converged" if converged else "max iterations reached"
-    return SolveResult(x, converged, cfg.max_iters, history, msg)
+    return SolveResult(x, r, converged, cfg.max_iters, history, msg)
 
 
 def _check_finite(r):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from geovar import cli, discrete, ocp
+from geovar.retraction import make_retraction
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
 SE2_CONFIG = str(CONFIG_DIR / "se2_vehicle.json")
@@ -60,15 +61,36 @@ def test_too_few_nodes_rejected(tmp_path, capsys):
     assert "N" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("tol", ["inf", "nan"])
-def test_non_finite_tolerance_is_a_config_error(tmp_path, capsys, tol):
+@pytest.mark.parametrize(
+    "command, config, tol",
+    [("solve", SE2_CONFIG, "inf"), ("solve", SE2_CONFIG, "nan"),
+     ("solve", FRB_CONFIG, "nan"), ("oracle", SE2_CONFIG, "nan")],
+    ids=["inf", "nan", "free_rigid_body-nan", "oracle-nan"],
+)
+def test_non_finite_tolerance_is_a_config_error(tmp_path, capsys, command, config, tol):
+    """Every command and model checks the solver settings, also those that
+    do not use them."""
+    out = tmp_path / "out"
     code = cli.main(
-        ["solve", SE2_CONFIG, "--tol", tol, "--max-iters", "5",
-         "--out-dir", str(tmp_path)]
+        [command, config, "--tol", tol, "--max-iters", "5", "--out-dir", str(out)]
     )
     assert code == 1
+    captured = capsys.readouterr()
+    assert "config field 'solver'" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "convergence"])
+def test_bad_solver_table_is_a_config_error_for_the_rigid_body(tmp_path, capsys, command):
+    table = json.loads(Path(FRB_CONFIG).read_text())
+    table["solver"] = {"bogus": 1, "max_iters": True}
+    out = tmp_path / "out"
+    extra = ["--h-list", "0.08", "0.04", "0.02"] if command == "convergence" else []
+    code = cli.main([command, write_config(tmp_path, table), "--out-dir", str(out), *extra])
+    assert code == 1
     assert "config field 'solver'" in capsys.readouterr().err
-    assert not (tmp_path / "diagnostics.json").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("h", [float("nan"), float("inf")])
@@ -220,6 +242,34 @@ def test_solve_vehicle_writes_outputs_and_converges(tmp_path):
     # the final row carries no algebra node and no multiplier
     last = lines[-1].split(",")
     assert last[2:7] == [""] * 5
+
+
+@pytest.mark.parametrize(
+    "config", [SE2_CONFIG, BALL_CONFIG], ids=["se2_vehicle", "ball_plate"]
+)
+def test_diagnostics_read_the_final_residual(tmp_path, config):
+    """The constraint and closure diagnostics are the max-abs of the
+    residual's constraint and closure rows at the written iterate."""
+    assert cli.main(["solve", config, "--out-dir", str(tmp_path)]) == 0
+    diag = json.loads((tmp_path / "diagnostics.json").read_text())
+    cfg = cli.load_config(config)
+    prob, _ = cli.build_problem(cfg)
+    retr = make_retraction(cfg.get("retraction", "cayley"), prob.group_tag)
+    # %.17g round-trips every float, so the table holds the iterate exactly
+    table = np.genfromtxt(tmp_path / "trajectory.csv", delimiter=",", names=True)
+
+    def nodes(prefix, k):
+        return np.column_stack([table[f"{prefix}{c + 1}"] for c in range(k)])
+
+    path = discrete.DiscretePath(
+        q_nodes=nodes("q", prob.n), xi_nodes=nodes("xi", 3)[: prob.N], h=prob.h,
+        lambda_nodes=nodes("lam", prob.m)[1 : prob.N],
+    )
+    r = ocp.full_residual(prob, ocp.assemble_unknowns(prob, path), retr)
+    lay = ocp.layout(prob)
+    assert diag["residual_inf_norm"] == float(np.abs(r).max())
+    assert diag["constraint_max_violation"] == float(np.abs(r[lay.constraint_rows]).max())
+    assert diag["closure_inf_norm"] == float(np.abs(r[lay.closure_rows]).max())
 
 
 def test_solve_is_deterministic(tmp_path):
@@ -403,6 +453,22 @@ def test_bad_env_value_is_a_config_error(tmp_path, monkeypatch, capsys):
     assert "GEOVAR_MAX_ITERS" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, config", [("solve", FRB_CONFIG), ("oracle", SE2_CONFIG)],
+    ids=["free_rigid_body", "oracle"],
+)
+def test_bad_env_value_is_a_config_error_where_unused(tmp_path, monkeypatch, capsys,
+                                                      command, config):
+    monkeypatch.setenv("GEOVAR_MAX_ITERS", "many")
+    out = tmp_path / "out"
+    code = cli.main([command, config, "--out-dir", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "GEOVAR_MAX_ITERS" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 # -- convergence -------------------------------------------------------------
 
 
@@ -499,3 +565,26 @@ def test_module_entry_point_runs_without_a_runtime_warning():
         env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "config", [SE2_CONFIG, BALL_CONFIG, FRB_CONFIG],
+    ids=["se2_vehicle", "ball_plate", "free_rigid_body"],
+)
+def test_solve_loads_no_scipy(tmp_path, config):
+    """``geovar solve`` needs numpy only: a fresh interpreter that solves a
+    shipped config has imported no ``scipy`` module."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    script = (
+        "import sys\n"
+        "from geovar import cli\n"
+        f"code = cli.main(['solve', {config!r}, '--out-dir', {str(tmp_path)!r}])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

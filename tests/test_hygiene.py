@@ -1,6 +1,7 @@
 """Source hygiene: no module in ``src/geovar`` or ``scripts`` imports a name
-it never uses, and no module in ``src/geovar`` defines a function or class
-that nothing uses.
+it never uses, no module in ``src/geovar`` defines a function or class
+that nothing uses, and no module in ``src/geovar`` reads another geovar
+module's underscore name.
 
 The checks read the syntax tree only, so they need no linter:
 
@@ -10,7 +11,9 @@ The checks read the syntax tree only, so they need no linter:
 - a top-level function or class of ``src/geovar`` must be referenced in
   ``src``, ``scripts``, ``tests`` or ``bench``: as a name, an attribute, an
   imported name or a string constant (the bench tracer patches functions by
-  name).
+  name);
+- a module of ``src/geovar`` imports no underscore name from another geovar
+  module and reads none as an attribute of an imported geovar module.
 """
 
 import ast
@@ -102,3 +105,51 @@ def test_every_definition_is_referenced():
     }
     referring = [p.read_text() for p in REFERRERS]
     assert unreferenced_definitions(defining, referring) == []
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_reads(source):
+    """``(line, "module.name")`` of each underscore name of another geovar
+    module that ``source`` imports or reads as a module attribute."""
+    tree = ast.parse(source)
+    modules = set()
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "geovar"
+        ):
+            base = (node.module or "").removeprefix("geovar").lstrip(".")
+            for alias in node.names:
+                if not base:  # from . import discrete
+                    modules.add(alias.asname or alias.name)
+                elif _private(alias.name):
+                    found.append((node.lineno, f"{base}.{alias.name}"))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and _private(node.attr)):
+            found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return sorted(found)
+
+
+def test_checker_flags_a_private_name_of_another_module():
+    source = (
+        "from . import discrete, groups as g\n"
+        "from .ocp import _terminal_mismatch, layout\n"
+        "from geovar.discrete import _window_views\n"
+        "g._check_tag('SO3')\n"
+        "discrete.window_views, discrete.__name__, self._cache, _local()\n"
+    )
+    assert private_reads(source) == [
+        (2, "ocp._terminal_mismatch"), (3, "discrete._window_views"), (4, "g._check_tag"),
+    ]
+    assert private_reads("import numpy as np\nnp._NoValue\n") == []
+
+
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "src" / "geovar").glob("*.py")), ids=lambda p: f"geovar/{p.name}"
+)
+def test_no_private_names_across_modules(path):
+    assert private_reads(path.read_text()) == []

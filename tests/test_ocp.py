@@ -75,6 +75,25 @@ def test_layout_slices_partition_the_vector():
     assert lay.lam_slice.stop == lay.total == unknown_count(10, 1, 2)
 
 
+def test_layout_row_blocks_hold_the_closure_and_the_constraints():
+    """The closure rows of the residual are the terminal closure and the
+    constraint rows are the discrete constraints on every window, bit for
+    bit; the constraint rows end the residual."""
+    prob = se2_problem(N=10)
+    retr = CayleyRetraction(prob.group_tag)
+    rng = np.random.default_rng(4)
+    x = initial_guess(prob, retr) + 0.05 * rng.normal(size=layout(prob).total)
+    lay = layout(prob)
+    r = ocp.full_residual(prob, x, retr)
+    path = scatter(prob, x)
+    _, Phi = discretize(prob)
+    qs, xis, _ = discrete.window_views(path.q_nodes, path.xi_nodes, 2)
+    closure, _ = ocp.closure_residual(prob, path.xi_nodes, retr)
+    assert np.array_equal(r[lay.closure_rows], closure)
+    assert np.array_equal(r[lay.constraint_rows], Phi.eval(tuple(qs), tuple(xis)).ravel())
+    assert lay.constraint_rows.stop == r.size == equation_count(10, 1, 2)
+
+
 # -- scatter / assemble ------------------------------------------------------
 
 
@@ -359,9 +378,9 @@ def _solve_cost(prob, retr, tol=1e-11):
     assert result.converged, result.message
     path = scatter(prob, result.x)
     Ld, _ = discretize(prob)
-    from geovar.discrete import _window_views
+    from geovar.discrete import window_views
 
-    qs, xis, _ = _window_views(path.q_nodes, path.xi_nodes, 2)
+    qs, xis, _ = window_views(path.q_nodes, path.xi_nodes, 2)
     return float(np.sum(Ld.eval(tuple(qs), tuple(xis))))
 
 
@@ -447,11 +466,10 @@ def test_stacked_local_rows_equal_full_residual_rows(case, retraction):
     rng = np.random.default_rng(3)
     X = initial_guess(prob, retr) + 0.05 * rng.normal(size=(5, layout(prob).total))
     R = ocp.local_residual(prob, X, retr, Ld, Phi)
-    closure_row = (prob.N - 3) * (prob.n + 3)
     assert R.shape == X.shape
     for x, rows in zip(X, R):
         full = ocp.full_residual(prob, x, retr)
-        full[closure_row : closure_row + 3] = 0.0
+        full[layout(prob).closure_rows] = 0.0
         assert np.array_equal(rows, full)
 
 

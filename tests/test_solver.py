@@ -227,6 +227,21 @@ def test_no_convergence_report_keeps_best_iterate():
     assert result.message != "converged"
 
 
+@pytest.mark.parametrize(
+    "residual, x0, max_iters, message",
+    [
+        (lambda x: x * x - 4.0, 3.0, 200, "converged"),
+        (lambda x: x * x - 4.0, 3.0, 1, "max iterations reached"),
+        (lambda x: x * x + 1.0, 1.0, 200, "line search stalled (step below 2^-20)"),
+    ],
+    ids=["converged", "capped", "stalled"],
+)
+def test_result_residual_is_the_residual_at_its_iterate(residual, x0, max_iters, message):
+    result = solve(residual, np.array([x0]), SolverConfig(max_iters=max_iters))
+    assert result.message == message
+    assert np.array_equal(result.residual, residual(result.x))
+
+
 # -- newton_stack --------------------------------------------------------------
 
 
