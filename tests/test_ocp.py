@@ -81,9 +81,9 @@ def test_layout_row_blocks_hold_the_closure_and_the_constraints():
     bit; the constraint rows end the residual."""
     prob = se2_problem(N=10)
     retr = CayleyRetraction(prob.group_tag)
-    rng = np.random.default_rng(4)
-    x = initial_guess(prob, retr) + 0.05 * rng.normal(size=layout(prob).total)
     lay = layout(prob)
+    rng = np.random.default_rng(4)
+    x = initial_guess(prob, retr) + 0.05 * rng.normal(size=lay.total)
     r = ocp.full_residual(prob, x, retr)
     path = scatter(prob, x)
     _, Phi = discretize(prob)
