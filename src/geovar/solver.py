@@ -32,7 +32,6 @@ FD_STEP = float(np.finfo(float).eps) ** 0.5
 _ARMIJO_SLOPE = 1e-4
 _BACKTRACK = 0.5
 _MIN_STEP = 2.0 ** -20
-_COND_LIMIT = 1e14
 _STACK_FD_STEP = 1e-7  # relative central-difference step of newton_stack
 
 
@@ -55,6 +54,17 @@ class ColumnGroups:
     groups: List[np.ndarray]
     fill: Optional[Callable] = None
     stacked: Optional[Callable] = None
+    # (group, column) of every grouped column, and (row, column, group) of
+    # every incidence entry of a grouped column; computed once per pattern
+    members: tuple = field(init=False, repr=False)
+    entries: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        point = np.repeat(np.arange(len(self.groups)), [c.size for c in self.groups])
+        cols = np.concatenate(self.groups)
+        rows, k = np.nonzero(self.incidence[:, cols])
+        self.members = (point, cols)
+        self.entries = (rows, cols[k], point[k])
 
 
 def greedy_column_groups(incidence):
@@ -96,18 +106,15 @@ def fd_jacobian(residual_fn, x, step=FD_STEP, pattern=None):
 
     steps = step * np.maximum(1.0, np.abs(x))
     # point g of each stack moves the columns of group g
-    point = np.repeat(np.arange(len(pattern.groups)), [c.size for c in pattern.groups])
-    cols = np.concatenate(pattern.groups)
+    point, cols = pattern.members
     xp = np.tile(x, (len(pattern.groups), 1))
     xm = xp.copy()
     xp[point, cols] += steps[cols]
     xm[point, cols] -= steps[cols]
     diff = stacked(xp) - stacked(xm)
     J = np.zeros((pattern.incidence.shape[0], x.size))
-    for g, cols in enumerate(pattern.groups):
-        J[:, cols] = np.where(
-            pattern.incidence[:, cols], diff[g][:, None] / (2.0 * steps[cols]), 0.0
-        )
+    rows, cols, group = pattern.entries
+    J[rows, cols] = diff[group, rows] / (2.0 * steps[cols])
     if pattern.fill is not None:
         pattern.fill(x, steps, J)
     if not np.all(np.isfinite(J)):
@@ -208,10 +215,12 @@ def solve(residual_fn, x0, cfg=None):
         if cfg.linear_solver == "pseudoinverse":
             dx = np.linalg.lstsq(J, -r, rcond=1e-12)[0]
         else:
-            cond = np.linalg.cond(J)
-            if not np.isfinite(cond) or cond > _COND_LIMIT:
-                raise SingularSystemError(it, cond)
-            dx = np.linalg.solve(J, -r)
+            try:
+                dx = np.linalg.solve(J, -r)
+            except np.linalg.LinAlgError:
+                dx = None
+            if dx is None or not np.all(np.isfinite(dx)):
+                raise SingularSystemError(it, np.linalg.cond(J))
         # Armijo backtracking on f = 0.5 ||r||^2 with slope f'(0) = -2 f
         f0 = 0.5 * float(r @ r)
         t = 1.0
