@@ -16,6 +16,15 @@ as its ``pattern`` attribute, and densely when it carries none.  The
 optimal-control residual (:func:`geovar.ocp.make_residual_fn`) carries one,
 so its Jacobian is 2 stacked evaluations of the local rows plus 6 (N-2)
 closure-only chain steps for the 3 terminal-closure rows.
+
+The ``"lu"`` step of :func:`solve` has no condition threshold.  An exactly
+singular Jacobian (the LU factorization fails) or a non-finite step raises
+:class:`SingularSystemError`; only then is the condition number computed,
+for the message.  A near-singular Jacobian yields a step that the Armijo
+line search must still accept: if no step length down to 2^-20 decreases
+the residual, the solve ends "line search stalled".  LU with partial
+pivoting is backward stable, so the line search and the ``|r|_inf <= tol``
+test judge the step, not an SVD of every Jacobian.
 """
 
 from __future__ import annotations
@@ -48,14 +57,17 @@ class ColumnGroups:
     ``stacked(X)``, when given, returns the residual rows at every row of a
     ``(P, n)`` stack of points as a ``(P, rows)`` array, in place of one
     residual call per point; it may leave the rows ``fill`` writes at zero.
+
+    Construction computes the index arrays :func:`fd_jacobian` reads on
+    every call: ``members``, the (group, column) of every grouped column,
+    and ``entries``, the (row, column, group) of every incidence entry of a
+    grouped column.
     """
 
     incidence: np.ndarray
     groups: List[np.ndarray]
     fill: Optional[Callable] = None
     stacked: Optional[Callable] = None
-    # (group, column) of every grouped column, and (row, column, group) of
-    # every incidence entry of a grouped column; computed once per pattern
     members: tuple = field(init=False, repr=False)
     entries: tuple = field(init=False, repr=False)
 
@@ -88,9 +100,10 @@ def fd_jacobian(residual_fn, x, step=FD_STEP, pattern=None):
     :class:`ColumnGroups` pattern each group costs 2 residual evaluations
     and each column's difference is written into its incidence rows only,
     so the result equals the dense one exactly when the incidence is
-    complete.  The points of all groups are evaluated as two stacks, "+"
-    and "-": by ``pattern.stacked`` in one call each, or else by
-    ``residual_fn`` point by point.
+    complete.  The write touches the pattern's ``entries`` alone, so it is
+    linear in the incidence nonzeros.  The points of all groups are
+    evaluated as two stacks, "+" and "-": by ``pattern.stacked`` in one
+    call each, or else by ``residual_fn`` point by point.
     """
     x = np.asarray(x, dtype=float)
     if pattern is None:
@@ -195,7 +208,8 @@ def solve(residual_fn, x0, cfg=None):
     The Jacobian is :func:`fd_jacobian` over ``residual_fn.pattern`` when
     the residual function carries one.  Backtracks with an Armijo condition
     on ``0.5 ||r||^2``; accepted steps never increase the residual 2-norm.
-    Deterministic for identical inputs.
+    Under ``"lu"`` raises :class:`SingularSystemError` when the LU fails or
+    the step is not finite.  Deterministic for identical inputs.
     """
     if cfg is None:
         cfg = SolverConfig()

@@ -272,6 +272,30 @@ def test_diagnostics_read_the_final_residual(tmp_path, config):
     assert diag["closure_inf_norm"] == float(np.abs(r[lay.closure_rows]).max())
 
 
+def test_ball_under_lu_reports_the_singular_jacobian(tmp_path, capsys):
+    """The ball's multiplier gauge makes its Jacobian exactly singular, so
+    LU refuses it at the first iteration (the fixture runs the
+    pseudoinverse)."""
+    table = json.loads(Path(BALL_CONFIG).read_text())
+    table["solver"]["linear_solver"] = "lu"
+    code = cli.main(["solve", write_config(tmp_path, table), "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "singular Jacobian at iteration 0" in capsys.readouterr().err
+
+
+def test_vehicle_solve_computes_no_svd(tmp_path, monkeypatch):
+    """The LU Newton step factors the Jacobian and computes no SVD; at
+    N = 320 the SVD of a condition number took several times the LU."""
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("SVD computed on the LU path")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    monkeypatch.setattr(np.linalg, "cond", no_svd)
+    assert cli.main(["solve", SE2_CONFIG, "--out-dir", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "diagnostics.json").read_text())["converged"] is True
+
+
 def test_solve_is_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert cli.main(["solve", SE2_CONFIG, "--out-dir", str(out1)]) == 0
@@ -487,9 +511,11 @@ def test_convergence_needs_three_geometric_steps(tmp_path, capsys):
     assert "geometric" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("config", [SE2_CONFIG, FRB_CONFIG])
 @pytest.mark.parametrize(
-    "h_list", [["-0.1", "-0.05", "-0.025"], ["0", "0", "0"]]
+    "config", [SE2_CONFIG, FRB_CONFIG], ids=["se2_vehicle", "free_rigid_body"]
+)
+@pytest.mark.parametrize(
+    "h_list", [["-0.1", "-0.05", "-0.025"], ["0", "0", "0"]], ids=["negative", "zero"]
 )
 def test_convergence_rejects_non_positive_step_sizes(tmp_path, capsys, config, h_list):
     code = cli.main(

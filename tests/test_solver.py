@@ -1,10 +1,16 @@
 """Damped Newton root-finder tests."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from geovar import cli, ocp
 from geovar.errors import DomainError, SingularSystemError
+from geovar.retraction import make_retraction
 from geovar.solver import (
+    FD_STEP,
     ColumnGroups,
     SolveResult,
     SolverConfig,
@@ -13,6 +19,8 @@ from geovar.solver import (
     newton_stack,
     solve,
 )
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_linear_system_converges_in_one_iteration():
@@ -124,6 +132,96 @@ def test_singular_jacobian_reports_iteration():
     with pytest.raises(SingularSystemError) as exc:
         solve(residual, np.array([1.0, 0.0]))
     assert exc.value.iteration == 0
+
+
+def test_badly_scaled_nonsingular_system_converges():
+    """A row scaled by 1e-15 makes the 2-norm condition number 1e15 but
+    leaves the LU step exact; the Newton step is taken, not refused."""
+
+    def residual(x):
+        return np.array([x[0] - 1.0, 1e-15 * (x[1] - 1.0)])
+
+    result = solve(residual, np.zeros(2))
+    assert result.converged
+    assert result.iterations == 1
+    assert np.allclose(result.x, 1.0, rtol=0.0, atol=1e-7)
+
+
+def test_non_finite_lu_step_reports_iteration(monkeypatch):
+    solve_real = np.linalg.solve
+    calls = []
+
+    def nan_on_second_call(J, b):
+        calls.append(None)
+        dx = solve_real(J, b)
+        return dx if len(calls) == 1 else np.full_like(dx, np.nan)
+
+    monkeypatch.setattr(np.linalg, "solve", nan_on_second_call)
+    with pytest.raises(SingularSystemError, match="at iteration 1 ") as exc:
+        solve(lambda x: x * x - 4.0, np.array([3.0]))
+    assert exc.value.iteration == 1
+    assert np.isfinite(exc.value.cond)
+
+
+def column_write_jacobian(residual_fn, x, pattern):
+    """:func:`fd_jacobian` written group by group over whole columns, each
+    column masked by its incidence: the reference for the entry write."""
+    steps = FD_STEP * np.maximum(1.0, np.abs(x))
+    xp = np.tile(x, (len(pattern.groups), 1))
+    xm = xp.copy()
+    for g, cols in enumerate(pattern.groups):
+        xp[g, cols] += steps[cols]
+        xm[g, cols] -= steps[cols]
+    stacked = pattern.stacked or (lambda X: np.stack([residual_fn(p) for p in X]))
+    diff = stacked(xp) - stacked(xm)
+    J = np.zeros((pattern.incidence.shape[0], x.size))
+    for g, cols in enumerate(pattern.groups):
+        J[:, cols] = np.where(
+            pattern.incidence[:, cols], diff[g][:, None] / (2.0 * steps[cols]), 0.0
+        )
+    if pattern.fill is not None:
+        pattern.fill(x, steps, J)
+    return J
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_entry_write_equals_column_write_on_a_random_pattern(seed):
+    """A random sparse residual: the Jacobian over its column groups equals
+    the column-by-column write and the dense (``pattern=None``) one."""
+    rng = np.random.default_rng(seed)
+    n = 9
+    incidence = (rng.random((n, n)) < 0.3) | np.eye(n, dtype=bool)
+    A = np.where(incidence, rng.normal(size=(n, n)), 0.0)
+
+    def residual(x):
+        return A @ np.sin(x) + 0.1 * (A != 0) @ x**3
+
+    x = rng.normal(size=n)
+    pattern = ColumnGroups(incidence, greedy_column_groups(incidence))
+    J = fd_jacobian(residual, x, pattern=pattern)
+    assert np.array_equal(J, column_write_jacobian(residual, x, pattern))
+    assert np.array_equal(J, fd_jacobian(residual, x))
+    dense = ColumnGroups(np.ones((n, n), dtype=bool), [np.array([j]) for j in range(n)])
+    assert np.array_equal(fd_jacobian(residual, x), column_write_jacobian(residual, x, dense))
+
+
+@pytest.mark.parametrize("retraction", ["cayley", "exp4"])
+@pytest.mark.parametrize(
+    "name,N",
+    [("se2_vehicle.json", 10), ("se2_vehicle.json", 20),
+     ("ball_plate.json", 8), ("ball_plate.json", 16)],
+)
+def test_entry_write_equals_column_write_on_the_fixtures(name, N, retraction):
+    """Vehicle and ball, at the standard guess and at a perturbed point."""
+    cfg = json.loads((CONFIG_DIR / name).read_text())
+    prob, _ = cli.build_problem(cfg, N=N, h=cfg["N"] * cfg["h"] / N)
+    retr = make_retraction(retraction, prob.group_tag)
+    fn = ocp.make_residual_fn(prob, retr)
+    x0 = ocp.initial_guess(prob, retr)
+    x1 = x0 + 0.02 * np.random.default_rng(N).normal(size=x0.size)
+    for x in (x0, x1):
+        J = fd_jacobian(fn, x, pattern=fn.pattern)
+        assert np.array_equal(J, column_write_jacobian(fn, x, fn.pattern))
 
 
 def test_pseudoinverse_mode_handles_consistent_rank_deficiency():
