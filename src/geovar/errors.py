@@ -50,7 +50,7 @@ class IllPosedBasisError(GeovarError):
 
 
 class SingularSystemError(GeovarError):
-    """Newton Jacobian numerically singular."""
+    """Newton Jacobian singular: its LU failed or gave a non-finite step."""
 
     def __init__(self, iteration, cond):
         super().__init__(
