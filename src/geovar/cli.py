@@ -435,9 +435,11 @@ def cmd_convergence(args):
     h_list = sorted(args.h_list, reverse=True)
     if len(h_list) < 3:
         raise ConfigError("h-list", "need at least three step sizes")
+    got = " ".join(f"{hh:g}" for hh in args.h_list)
     if not all(hh > 0 for hh in h_list):
-        got = " ".join(f"{hh:g}" for hh in args.h_list)
         raise ConfigError("h-list", f"step sizes must be positive, got {got}")
+    if any(a <= b for a, b in zip(h_list, h_list[1:])):
+        raise ConfigError("h-list", f"step sizes must strictly decrease, got {got}")
     ratios = [h_list[i] / h_list[i + 1] for i in range(len(h_list) - 1)]
     if max(ratios) - min(ratios) > 1e-9:
         raise ConfigError("h-list", "step sizes must form a geometric sequence")

@@ -417,6 +417,7 @@ def ball_plate_problem(params, boundary, N, h, trivialization=RIGHT):
         trivialization=trivialization,
         d_ltilde=ball_d_ltilde(params),
         d_phi=ball_d_phi(params),
+        conserved=2,  # phi3 = d(xi_3)/dt
     )
 
 

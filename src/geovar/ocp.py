@@ -81,6 +81,11 @@ class SecondOrderProblem:
 
     ``ltilde(q, dq, ddq, xi, dxi) -> (B,)`` and ``phi(...) -> (B, m)`` are
     autonomous and vectorized over evaluation points.
+
+    ``conserved``, when set, is the index of a constraint that is a
+    conservation law: the time derivative of a function of ``xi`` alone.
+    Its rows over the windows then telescope to boundary data, so shifting
+    all its multipliers by one constant moves no residual row (a gauge).
     """
 
     n: int
@@ -97,6 +102,7 @@ class SecondOrderProblem:
     # d_phi(...) -> 5-tuple with a leading constraint axis (B, m, .).
     d_ltilde: Optional[Callable] = None
     d_phi: Optional[Callable] = None
+    conserved: Optional[int] = None
 
     def __post_init__(self):
         if self.h <= 0:
@@ -347,6 +353,11 @@ class Layout:
     def lam_slice(self):
         return slice(self.q_size + self.xi_size, self.total)
 
+    def multiplier_columns(self, c):
+        """Columns of constraint ``c``'s multipliers, one per window; as row
+        indices they are the rows of that constraint."""
+        return self.lam_slice.start + c + self.m * np.arange(self.N - 1)
+
     @property
     def closure_rows(self):
         start = (self.N - 3) * (self.n + self.d)
@@ -520,6 +531,10 @@ def make_residual_fn(prob, retr):
     :func:`local_residual` evaluations, one over the "+" and one over the
     "-" perturbations of every column group, plus ``6 (N-2)`` closure-only
     chain steps; ``fn`` itself is not called.
+
+    When the problem declares a ``conserved`` constraint, ``fn.gauge`` holds
+    the columns of its multipliers, the known null direction of every
+    Jacobian (None otherwise).
     """
     Ld, Phi = discretize(prob)
 
@@ -534,6 +549,9 @@ def make_residual_fn(prob, retr):
         incidence, solver.greedy_column_groups(incidence),
         _closure_fill(prob, retr), local_rows,
     )
+    fn.gauge = None
+    if prob.conserved is not None:
+        fn.gauge = layout(prob).multiplier_columns(prob.conserved)
     return fn
 
 

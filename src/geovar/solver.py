@@ -25,6 +25,18 @@ line search must still accept: if no step length down to 2^-20 decreases
 the residual, the solve ends "line search stalled".  LU with partial
 pivoting is backward stable, so the line search and the ``|r|_inf <= tol``
 test judge the step, not an SVD of every Jacobian.
+
+The ``"pseudoinverse"`` step is for Jacobians with a multiplier gauge: a
+constant shift of one constraint's multipliers that moves no residual row
+(``conserved`` in :class:`geovar.ocp.SecondOrderProblem`).  A residual
+function that declares those columns as its ``gauge`` attribute gets the
+LU step of ``J + c v v^T``, written into J in place: ``v`` is uniform on
+the gauge columns and ``c`` is the largest ``|J|`` in them.  Read as row
+indices, the gauge columns are the conserved constraint's rows, whose sum
+has zero gradient.  So the pinned matrix is nonsingular, and on a
+consistent system its solution is the minimal-norm step of J, which keeps
+the sum of the gauge entries fixed (Keller 1977, bordering).  A residual
+without a ``gauge`` gets the minimal-norm SVD step of ``np.linalg.lstsq``.
 """
 
 from __future__ import annotations
@@ -171,9 +183,11 @@ class SolverConfig:
 
     tol_residual: float = 1e-10
     max_iters: int = 200
-    # "lu": dense LU, errors on singular systems.  "pseudoinverse":
-    # minimal-norm SVD step for consistent systems with a multiplier gauge
-    # freedom (e.g. a conservation-law constraint whose windows telescope).
+    # "lu": dense LU, errors on singular systems.  "pseudoinverse": for
+    # consistent systems with a multiplier gauge freedom (e.g. a
+    # conservation-law constraint whose windows telescope): LU with the
+    # residual's declared gauge pinned, the minimal-norm SVD step when it
+    # declares none.
     linear_solver: str = "lu"
 
     def __post_init__(self):
@@ -208,8 +222,9 @@ def solve(residual_fn, x0, cfg=None):
     The Jacobian is :func:`fd_jacobian` over ``residual_fn.pattern`` when
     the residual function carries one.  Backtracks with an Armijo condition
     on ``0.5 ||r||^2``; accepted steps never increase the residual 2-norm.
-    Under ``"lu"`` raises :class:`SingularSystemError` when the LU fails or
-    the step is not finite.  Deterministic for identical inputs.
+    Raises :class:`SingularSystemError` when the LU fails or the step is
+    not finite: under ``"lu"``, and under ``"pseudoinverse"`` when
+    ``residual_fn.gauge`` is pinned.  Deterministic for identical inputs.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -221,12 +236,17 @@ def solve(residual_fn, x0, cfg=None):
         )
     _check_finite(r)
     pattern = getattr(residual_fn, "pattern", None)
+    gauge = getattr(residual_fn, "gauge", None)
+    if cfg.linear_solver == "lu":
+        gauge = None  # "lu" refuses the singular Jacobian of a gauge
     history = [float(np.abs(r).max())]
     for it in range(cfg.max_iters):
         if history[-1] <= cfg.tol_residual:
             return SolveResult(x, r, True, it, history, "converged")
         J = fd_jacobian(residual_fn, x, FD_STEP, pattern)
-        if cfg.linear_solver == "pseudoinverse":
+        if gauge is not None:  # J + c v v^T, v uniform on the gauge columns
+            J[np.ix_(gauge, gauge)] += np.abs(J[:, gauge]).max() / gauge.size
+        if cfg.linear_solver == "pseudoinverse" and gauge is None:
             dx = np.linalg.lstsq(J, -r, rcond=1e-12)[0]
         else:
             try:

@@ -296,6 +296,18 @@ def test_vehicle_solve_computes_no_svd(tmp_path, monkeypatch):
     assert json.loads((tmp_path / "diagnostics.json").read_text())["converged"] is True
 
 
+def test_ball_solve_computes_no_lstsq(tmp_path, monkeypatch):
+    """The ball runs the pseudoinverse setting with its declared gauge
+    pinned, so its Newton steps are LU steps."""
+
+    def no_lstsq(*args, **kwargs):
+        raise AssertionError("lstsq computed on the pinned-gauge path")
+
+    monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+    assert cli.main(["solve", BALL_CONFIG, "--out-dir", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "diagnostics.json").read_text())["converged"] is True
+
+
 def test_solve_is_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert cli.main(["solve", SE2_CONFIG, "--out-dir", str(out1)]) == 0
@@ -529,6 +541,23 @@ def test_convergence_rejects_non_positive_step_sizes(tmp_path, capsys, config, h
 
 
 @pytest.mark.parametrize(
+    "config", [SE2_CONFIG, FRB_CONFIG], ids=["se2_vehicle", "free_rigid_body"]
+)
+def test_convergence_rejects_a_repeated_step_size(tmp_path, capsys, config):
+    """Equal step sizes have ratio 1, a geometric sequence with no
+    refinement; the run stops before any solve."""
+    code = cli.main(
+        ["convergence", config, "--out-dir", str(tmp_path),
+         "--h-list", "0.1", "0.1", "0.1"]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config field 'h-list'" in err
+    assert "must strictly decrease" in err
+    assert not (tmp_path / "convergence.csv").exists()
+
+
+@pytest.mark.parametrize(
     "config, h_list, low",
     [pytest.param(SE2_CONFIG, ["1", "0.5", "0.25"], 6, id="se2_vehicle"),
      pytest.param(FRB_CONFIG, ["2", "1", "0.5"], 2, id="free_rigid_body")],
@@ -567,6 +596,22 @@ def test_convergence_rigid_body_second_order(tmp_path, capsys):
     # errors shrink monotonically over the compared runs
     errs = [float(r[1]) for r in rows[:-1]]
     assert errs == sorted(errs, reverse=True)
+
+
+def test_ball_warm_ladder_converges_at_n96(tmp_path, capsys):
+    """The warm ball ladder 12 -> 24 -> 48 -> 96; the N = 96 rung stalled
+    while its steps came from ``lstsq``, whose rank cut dropped a
+    near-null pair."""
+    code = cli.main(
+        ["convergence", BALL_CONFIG, "--out-dir", str(tmp_path),
+         "--h-list", *(repr(1.0 / n) for n in (12, 24, 48, 96))]
+    )
+    assert code == 0
+    lines = (tmp_path / "convergence.csv").read_text().strip().split("\n")
+    rows = [line.split(",") for line in lines[1:]]
+    assert len(rows) == 4
+    assert np.isfinite(float(rows[0][2]))
+    assert "fitted slope" in capsys.readouterr().out
 
 
 def test_convergence_vehicle_under_the_truncated_exponential(tmp_path, capsys):

@@ -524,11 +524,96 @@ def test_ball_solve_is_identical_with_grouped_and_dense_jacobians():
     fn = ocp.make_residual_fn(prob, retr)
     x0 = initial_guess(prob, retr)
     cfg = SolverConfig(tol_residual=1e-10, max_iters=80, linear_solver="pseudoinverse")
-    dense = solve(lambda x: fn(x), x0, cfg)
+
+    def dense_fn(x):
+        return fn(x)
+
+    dense_fn.gauge = fn.gauge  # the same pinned step, no pattern
+    dense = solve(dense_fn, x0, cfg)
     grouped = solve(fn, x0, cfg)
     assert dense.converged and grouped.converged
     assert np.array_equal(grouped.x, dense.x)
     assert grouped.residual_history == dense.residual_history
+
+
+# -- the ball's multiplier gauge ---------------------------------------------
+
+
+def test_the_ball_declares_its_conserved_multipliers_as_the_gauge():
+    """The gauge is the columns of the conservation law's multipliers, one
+    per window; the vehicle declares none."""
+    prob, retr = fixture_problem("ball_plate.json", 12)
+    lay = layout(prob)
+    gauge = ocp.make_residual_fn(prob, retr).gauge
+    assert np.array_equal(gauge, lay.lam_slice.start + 2 + 3 * np.arange(11))
+    # as row indices the same numbers are that constraint's rows
+    assert np.array_equal(gauge - lay.constraint_rows.start, 2 + 3 * np.arange(11))
+    vehicle, retr = fixture_problem("se2_vehicle.json", 12)
+    assert ocp.make_residual_fn(vehicle, retr).gauge is None
+
+
+@pytest.mark.parametrize("N", [12, 24])
+def test_shifting_the_ball_gauge_leaves_the_residual_unchanged(N):
+    prob, retr = fixture_problem("ball_plate.json", N)
+    fn = ocp.make_residual_fn(prob, retr)
+    x0 = initial_guess(prob, retr)
+    x1 = x0 + 0.02 * np.random.default_rng(N).normal(size=x0.size)
+    for x in (x0, x1):
+        r = fn(x)
+        shifted = x.copy()
+        shifted[fn.gauge] += 1.0
+        assert np.abs(fn(shifted) - r).max() <= 1e-12 * max(1.0, np.abs(r).max())
+
+
+@pytest.mark.parametrize("N", [12, 24])
+def test_pinned_ball_step_is_the_minimal_norm_step(N, monkeypatch):
+    """The LU step of the pinned Jacobian is the ``lstsq`` step of the
+    Jacobian itself."""
+    prob, retr = fixture_problem("ball_plate.json", N)
+    fn = ocp.make_residual_fn(prob, retr)
+    x0 = initial_guess(prob, retr)
+    n = x0.size
+    steps = []
+    lu = np.linalg.solve
+
+    def recording(A, b):
+        out = lu(A, b)
+        if A.shape == (n, n):
+            steps.append(out)
+        return out
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    solve(fn, x0, SolverConfig(max_iters=1, linear_solver="pseudoinverse"))
+    J = fd_jacobian(fn, x0, pattern=fn.pattern)
+    minimal = np.linalg.lstsq(J, -fn(x0), rcond=1e-12)[0]
+    assert len(steps) == 1
+    assert np.abs(minimal).max() > 0.1
+    assert np.abs(steps[0] - minimal).max() <= 1e-8
+
+
+def test_pinned_ball_solve_keeps_the_gauge_sum():
+    """The pinned steps never move the sum of the gauge entries; the
+    ``lstsq`` solve of the same residual, which declares no gauge, lets it
+    drift and agrees elsewhere up to a constant shift of the gauge."""
+    prob, retr = fixture_problem("ball_plate.json", 12)
+    fn = ocp.make_residual_fn(prob, retr)
+    x0 = initial_guess(prob, retr)
+    cfg = SolverConfig(tol_residual=1e-10, max_iters=80, linear_solver="pseudoinverse")
+    pinned = solve(fn, x0, cfg)
+
+    def ungauged(x):
+        return fn(x)
+
+    ungauged.pattern = fn.pattern
+    free = solve(ungauged, x0, cfg)
+    assert pinned.converged and free.converged
+    g = fn.gauge
+    assert abs(pinned.x[g].sum() - x0[g].sum()) <= 1e-12
+    assert abs(free.x[g].sum() - x0[g].sum()) > 1e-6
+    rest = np.setdiff1d(np.arange(x0.size), g)
+    assert np.abs(pinned.x[rest] - free.x[rest]).max() <= 1e-12
+    shift = pinned.x[g] - free.x[g]
+    assert np.ptp(shift) <= 1e-12
 
 
 def test_default_solve_of_the_ocp_residual_never_differences_the_residual(monkeypatch):
