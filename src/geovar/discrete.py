@@ -403,13 +403,16 @@ def discrete_momentum(Ld_eval, pair, xi, side, retr, eps=1e-6):
 
 
 def dep_step(lhat_grad, xi_prev, h, retr, trivialization=LEFT,
-             tol=1e-13, max_iter=DEP_MAX_ITER):
+             tol=1e-13, max_iter=DEP_MAX_ITER, guess=None):
     """Advance one step of the discrete Euler-Poincare equations.
 
     Solves the transported momentum balance (the single row of
     :func:`dep_residual` on ``(xi_prev, xi_next)``) for the next algebra node
-    with :func:`geovar.solver.newton_stack`, starting from ``xi_prev``.  The
-    previous node's term is fixed during the step and computed once.  Left
+    with :func:`geovar.solver.newton_stack`, starting from ``guess``
+    (``xi_prev`` when None).  The seed changes only where Newton starts:
+    the residual, and so the root it converges to, depend on ``xi_prev``
+    alone.  The previous node's term is fixed during the step and computed
+    once.  Left
     trivialized, the unknown enters only through its pulled-back momentum,
     so a Newton residual makes no ``tau`` call; right trivialized, the
     unknown's momentum is also transported by ``Ad*_{tau(h xi_next)}``.
@@ -432,17 +435,31 @@ def dep_step(lhat_grad, xi_prev, h, retr, trivialization=LEFT,
             mu = _transport(mu, hxs, retr)
         return (fixed - mu) / h
 
-    return solver.newton_stack(res, xi_prev, tol, max_iter)
+    start = xi_prev if guess is None else guess
+    return solver.newton_stack(res, start, tol, max_iter)
 
 
 def dep_solve_path(lhat_grad, xi0, N, h, retr, trivialization=LEFT,
                    return_iterations=False):
-    """Generate N algebra nodes of the discrete Euler-Poincare flow from xi0."""
+    """Generate N algebra nodes of the discrete Euler-Poincare flow from xi0.
+
+    Step ``k >= 3`` seeds its Newton solve with the quadratic extrapolation
+    ``3 xi_{k-1} - 3 xi_{k-2} + xi_{k-3}`` of the last three nodes (a
+    starting approximation; Hairer, Lubich & Wanner, *Geometric Numerical
+    Integration*, VIII.6); steps 1 and 2 start from ``xi_{k-1}``.  On a
+    smooth flow the seed is ``O(h^3)`` from the root where ``xi_{k-1}`` is
+    ``O(h)``, so a step takes one Newton iteration where it took two.  Every
+    step still solves to the same tolerance.
+    """
     out = np.empty((N, xi0.shape[0]))
     out[0] = xi0
     iters = []
     for kk in range(1, N):
-        out[kk], it = dep_step(lhat_grad, out[kk - 1], h, retr, trivialization)
+        guess = None
+        if kk >= 3:
+            guess = 3.0 * (out[kk - 1] - out[kk - 2]) + out[kk - 3]
+        out[kk], it = dep_step(lhat_grad, out[kk - 1], h, retr, trivialization,
+                               guess=guess)
         iters.append(it)
     if return_iterations:
         return out, iters

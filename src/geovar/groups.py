@@ -32,6 +32,11 @@ SO3 = "SO3"
 _ORTHO_TOL = 1e-10
 _POLAR_TRIGGER = 1e-9
 
+# the 3x3 identity shared by the kernels here and in geovar.retraction;
+# read-only, so an in-place update raises instead of corrupting every call
+EYE3 = np.eye(3)
+EYE3.flags.writeable = False
+
 
 def check_tag(tag):
     """Raise ``TagMismatchError`` unless ``tag`` is ``SE2`` or ``SO3``."""
@@ -117,7 +122,7 @@ def check_matrix(g, tag, tol=_ORTHO_TOL):
         raise GroupInvariantError(f"expected trailing shape (3, 3), got {g.shape}")
     if tag == SO3:
         defect = np.abs(
-            np.swapaxes(g, -1, -2) @ g - np.eye(3)
+            np.swapaxes(g, -1, -2) @ g - EYE3
         ).max()
         if defect > tol:
             raise GroupInvariantError(
@@ -198,7 +203,7 @@ def orthogonality_defect(g, tag):
     """Max deviation of the rotation part from orthogonality."""
     g = np.asarray(g, dtype=float)
     if tag == SO3:
-        return np.abs(np.swapaxes(g, -1, -2) @ g - np.eye(3)).max()
+        return np.abs(np.swapaxes(g, -1, -2) @ g - EYE3).max()
     R = g[..., :2, :2]
     return np.abs(np.swapaxes(R, -1, -2) @ R - np.eye(2)).max()
 
@@ -210,7 +215,7 @@ def renormalize(g, tag, trigger=_POLAR_TRIGGER):
     """
     if tag != SO3:
         return g
-    drift = np.abs(np.swapaxes(g, -1, -2) @ g - np.eye(3)).max(axis=(-2, -1))
+    drift = np.abs(np.swapaxes(g, -1, -2) @ g - EYE3).max(axis=(-2, -1))
     far = drift > trigger
     if not np.any(far):
         return g

@@ -77,7 +77,7 @@ class CayleyRetraction(Retraction):
         if self.group_tag == groups.SO3:
             w = groups.hat(xi, groups.SO3)
             n2 = np.sum(xi * xi, axis=-1)[..., None, None]
-            return np.eye(3) + 4.0 / (4.0 + n2) * (w + 0.5 * (w @ w))
+            return groups.EYE3 + 4.0 / (4.0 + n2) * (w + 0.5 * (w @ w))
         v1 = xi[..., 0]
         v2 = xi[..., 1]
         v3 = xi[..., 2]
@@ -97,11 +97,11 @@ class CayleyRetraction(Retraction):
         g = np.asarray(g, dtype=float)
         self._guard(g)
         if self.group_tag == groups.SO3:
-            gp = g + np.eye(3)
+            gp = g + groups.EYE3
             # X = 2 (g - I)(g + I)^-1, solved without forming the inverse
             Xt = np.linalg.solve(
                 np.swapaxes(gp, -1, -2),
-                np.swapaxes(2.0 * (g - np.eye(3)), -1, -2),
+                np.swapaxes(2.0 * (g - groups.EYE3), -1, -2),
             )
             X = np.swapaxes(Xt, -1, -2)
             X = 0.5 * (X - np.swapaxes(X, -1, -2))  # kill round-off
@@ -138,7 +138,7 @@ class CayleyRetraction(Retraction):
             )
         if not so3:
             return
-        gp = np.asarray(g) + np.eye(3)
+        gp = np.asarray(g) + groups.EYE3
         cond = np.max(np.linalg.cond(gp))
         if cond > _COND_GUARD:
             raise SingularRetractionError(
@@ -151,7 +151,8 @@ class CayleyRetraction(Retraction):
         xi = np.asarray(xi, dtype=float)
         if self.group_tag == groups.SO3:
             n2 = np.sum(xi * xi, axis=-1)[..., None, None]
-            return 2.0 / (4.0 + n2) * (2.0 * np.eye(3) + groups.hat(xi, groups.SO3))
+            w = groups.hat(xi, groups.SO3)
+            return 2.0 / (4.0 + n2) * (2.0 * groups.EYE3 + w)
         return np.linalg.inv(self.dtau_inv_matrix(xi))
 
     def dtau_inv_matrix(self, xi):
@@ -159,8 +160,8 @@ class CayleyRetraction(Retraction):
         if self.group_tag == groups.SO3:
             w = groups.hat(xi, groups.SO3)
             outer = xi[..., :, None] * xi[..., None, :]
-            return np.eye(3) - 0.5 * w + 0.25 * outer
-        M = np.eye(3) - 0.5 * groups.ad_matrix(xi, groups.SE2)
+            return groups.EYE3 - 0.5 * w + 0.25 * outer
+        M = groups.EYE3 - 0.5 * groups.ad_matrix(xi, groups.SE2)
         M = M + 0.0  # broadcast to batch shape
         M = np.broadcast_to(M, xi.shape[:-1] + (3, 3)).copy()
         M[..., :, 0] += 0.25 * xi[..., 0, None] * xi
@@ -180,8 +181,8 @@ class TruncExpRetraction(Retraction):
     def tau(self, xi):
         xi = np.asarray(xi, dtype=float)
         X = groups.hat(xi, self.group_tag)
-        out = np.broadcast_to(np.eye(3), X.shape).copy()
-        term = np.broadcast_to(np.eye(3), X.shape).copy()
+        out = np.broadcast_to(groups.EYE3, X.shape).copy()
+        term = np.broadcast_to(groups.EYE3, X.shape).copy()
         for i in range(1, self.order + 1):
             term = term @ X / i
             out = out + term
@@ -221,8 +222,8 @@ class TruncExpRetraction(Retraction):
         """Series for the right-trivialized tangent of exp, truncated consistently."""
         xi = np.asarray(xi, dtype=float)
         A = groups.ad_matrix(xi, self.group_tag)
-        out = np.broadcast_to(np.eye(3), A.shape).copy()
-        term = np.broadcast_to(np.eye(3), A.shape).copy()
+        out = np.broadcast_to(groups.EYE3, A.shape).copy()
+        term = np.broadcast_to(groups.EYE3, A.shape).copy()
         for j in range(1, self.order):
             term = term @ A / (j + 1)
             out = out + term

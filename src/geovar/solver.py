@@ -41,6 +41,7 @@ without a ``gauge`` gets the minimal-norm SVD step of ``np.linalg.lstsq``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
@@ -148,6 +149,18 @@ def fd_jacobian(residual_fn, x, step=FD_STEP, pattern=None):
     return J
 
 
+@functools.lru_cache(maxsize=None)
+def _stack_signs(d):
+    """The read-only ``(2d+1, d)`` table ``[0; I; -I]`` that scales the
+    :func:`newton_stack` offsets.  Row 0 and the zeros of ``-I`` are
+    ``-0.0``: adding ``-0.0`` leaves every ``x``, ``-0.0`` included, as it
+    is, so row 0 of ``x + dx * signs`` is ``x`` bit for bit and the rest
+    are the floats of ``x + dx e_j`` and ``x - dx e_j``."""
+    signs = np.concatenate([np.full((1, d), -0.0), np.eye(d), -np.eye(d)])
+    signs.flags.writeable = False
+    return signs
+
+
 def newton_stack(residual_fn, x, tol, max_iter):
     """Undamped Newton iteration on a stack of small independent systems.
 
@@ -162,12 +175,10 @@ def newton_stack(residual_fn, x, tol, max_iter):
     """
     x = np.array(x, dtype=float)
     d = x.shape[-1]
-    eye = np.eye(d)
+    signs = _stack_signs(d)
     for it in range(max_iter):
         dx = _STACK_FD_STEP * np.maximum(1.0, np.abs(x))
-        step = dx[..., None, :] * eye
-        x0 = x[..., None, :]
-        rows = residual_fn(np.concatenate([x0, x0 + step, x0 - step], axis=-2))
+        rows = residual_fn(x[..., None, :] + dx[..., None, :] * signs)
         r = rows[..., 0, :]
         if np.abs(r).max() < tol:
             return x, it
