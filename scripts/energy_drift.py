@@ -6,8 +6,11 @@ per-step kinetic energy and the spatial momentum components to a CSV and
 prints summary drift figures.  Energy should oscillate with no secular
 trend; the spatial momentum should be constant to solver accuracy.
 
-Exits with 2 when any step hit its Newton iteration cap (the CSV is still
-written).  Example: ``python scripts/energy_drift.py --steps 1000``.
+Exits with 1, writing nothing, when a flag is out of range (``--steps``
+below 2, a zero, negative or non-finite ``--h`` or ``--inertia`` entry, a
+non-finite ``--xi0`` entry), and with 2 when any step hit its Newton
+iteration cap (the CSV is still written).  Example:
+``python scripts/energy_drift.py --steps 1000``.
 """
 
 import argparse
@@ -22,6 +25,25 @@ from geovar.models import free_rigid_body_model
 from geovar.retraction import CayleyRetraction
 
 
+def bad_argument(args):
+    """What is wrong with the flags, naming the first bad one, or None.
+
+    Two steps are the fewest a flow has (the rigid-body minimum of
+    ``geovar solve``).  A bad ``--h``, ``--inertia`` or ``--xi0`` would be
+    integrated into NaNs, reported as steps at the Newton cap, or run
+    backwards and look like a result.
+    """
+    if args.steps < 2:
+        return f"--steps must be at least 2, got {args.steps}"
+    if not (np.isfinite(args.h) and args.h > 0):
+        return f"--h must be finite and positive, got {args.h}"
+    if not all(np.isfinite(v) and v > 0 for v in args.inertia):
+        return f"--inertia must be finite and positive, got {args.inertia}"
+    if not np.all(np.isfinite(args.xi0)):
+        return f"--xi0 must be finite, got {args.xi0}"
+    return None
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--steps", type=int, default=10_000)
@@ -34,6 +56,10 @@ def main(argv=None):
     )
     parser.add_argument("--out-dir", default="out/energy_drift")
     args = parser.parse_args(argv)
+    bad = bad_argument(args)
+    if bad:
+        print(f"error: {bad}", file=sys.stderr)
+        return 1
 
     body = free_rigid_body_model(args.inertia)
     retr = CayleyRetraction(groups.SO3)

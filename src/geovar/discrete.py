@@ -26,7 +26,8 @@ callbacks that evaluate each window on its own give every path of the
 stack the residual it has alone.
 
 :func:`dep_step` advances the discrete Euler-Poincare flow by one node; its
-3-dim root find is :func:`geovar.solver.newton_stack`.
+3-dim root find is :func:`geovar.solver.newton_stack`.  :func:`dep_solve_path`
+starts each root find from an extrapolation of the last three nodes.
 """
 
 from __future__ import annotations
@@ -412,10 +413,10 @@ def dep_step(lhat_grad, xi_prev, h, retr, trivialization=LEFT,
     (``xi_prev`` when None).  The seed changes only where Newton starts:
     the residual, and so the root it converges to, depend on ``xi_prev``
     alone.  The previous node's term is fixed during the step and computed
-    once.  Left
-    trivialized, the unknown enters only through its pulled-back momentum,
-    so a Newton residual makes no ``tau`` call; right trivialized, the
-    unknown's momentum is also transported by ``Ad*_{tau(h xi_next)}``.
+    once.  Left trivialized, the unknown enters only through its
+    pulled-back momentum, so a Newton residual makes no ``tau`` call; right
+    trivialized, the unknown's momentum is also transported by
+    ``Ad*_{tau(h xi_next)}``.
     Returns ``(xi_next, iterations)``; the iteration count equals
     ``max_iter`` exactly when the residual never fell below ``tol``.
     """

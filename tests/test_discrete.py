@@ -173,6 +173,82 @@ def test_dep_step_equals_the_column_loop(trivialization, inertia):
         assert got[1] == want[1]
 
 
+def dep_path_seeded_by_previous_node(lhat_grad, xi0, N, h, retr, trivialization):
+    """Reference flow: every step starts Newton from the previous node (a
+    ``dep_step`` call with no ``guess``); returns nodes and iterations."""
+    out = np.empty((N, 3))
+    out[0] = xi0
+    iters = []
+    for kk in range(1, N):
+        out[kk], it = dep_step(lhat_grad, out[kk - 1], h, retr, trivialization)
+        iters.append(it)
+    return out, np.array(iters)
+
+
+def seeded_and_reference(xi0, N, h, trivialization):
+    grad = FreeRigidBody([1.0, 2.0, 3.0]).lhat_grad(h)
+    retr = CayleyRetraction(groups.SO3)
+    xi, iters = dep_solve_path(grad, np.asarray(xi0), N, h, retr, trivialization,
+                               return_iterations=True)
+    ref, ref_iters = dep_path_seeded_by_previous_node(
+        grad, np.asarray(xi0), N, h, retr, trivialization
+    )
+    return xi, np.array(iters), ref, ref_iters
+
+
+@pytest.mark.parametrize("trivialization", [LEFT, RIGHT])
+@pytest.mark.parametrize("h", [0.08, 0.04, 0.02, 0.01])
+def test_seeded_flow_agrees_with_previous_node_seeding(trivialization, h):
+    """The extrapolated seed moves where Newton starts, not the root: over
+    T = 2 the nodes agree to solver tolerance, and no step takes more
+    iterations than from the previous node."""
+    xi, iters, ref, ref_iters = seeded_and_reference(
+        [0.3, 0.2, 0.5], round(2.0 / h), h, trivialization
+    )
+    assert np.abs(xi - ref).max() <= 1e-12
+    assert np.all(iters <= ref_iters)
+    assert np.array_equal(iters[:2], ref_iters[:2])
+
+
+def test_seeded_fixture_flow_takes_one_iteration_per_step():
+    """The shipped rigid body (N = 2000, h = 0.01): from step 3 on, the
+    quadratic seed converges in one Newton iteration where the previous
+    node takes two."""
+    xi, iters, ref, ref_iters = seeded_and_reference([0.3, 0.2, 0.5], 2000, 0.01, LEFT)
+    assert np.abs(xi - ref).max() <= 1e-12
+    assert np.all(iters <= ref_iters)
+    assert list(iters[:2]) == [2, 2]
+    assert np.all(iters[2:] == 1)
+
+
+@pytest.mark.parametrize("trivialization", [LEFT, RIGHT])
+def test_seeded_fast_body_takes_at_most_two_iterations_per_step(trivialization):
+    """A fast body, |xi0| about 6: from step 3 on every seeded step takes at
+    most two iterations (most take three from the previous node)."""
+    xi, iters, ref, ref_iters = seeded_and_reference([3.0, 2.0, 5.0], 200, 0.01,
+                                                     trivialization)
+    assert np.abs(xi - ref).max() <= 1e-11
+    assert np.all(iters <= ref_iters)
+    assert np.all(iters[2:] <= 2)
+
+
+@pytest.mark.parametrize("trivialization", [LEFT, RIGHT])
+def test_dep_step_guess_moves_the_start_not_the_root(trivialization):
+    h = 0.05
+    retr = CayleyRetraction(groups.SO3)
+    grad = FreeRigidBody([1.0, 2.0, 3.0]).lhat_grad(h)
+    xi_prev = np.array([0.3, 0.2, 0.5])
+    root, _ = dep_step(grad, xi_prev, h, retr, trivialization)
+    same, _ = dep_step(grad, xi_prev, h, retr, trivialization, guess=xi_prev)
+    assert np.array_equal(same, root)
+    far, far_iters = dep_step(grad, xi_prev, h, retr, trivialization,
+                              guess=xi_prev + 0.3)
+    assert 0 < far_iters < DEP_MAX_ITER
+    assert np.abs(far - root).max() <= 1e-12
+    _, at_root = dep_step(grad, xi_prev, h, retr, trivialization, guess=root)
+    assert at_root <= 1
+
+
 class CountingCayley(CayleyRetraction):
     """Cayley retraction that counts its ``tau`` and ``dtau_inv_matrix`` calls."""
 

@@ -201,3 +201,15 @@ def test_polar_projection_restores_orthogonality():
     fixed = groups.renormalize(drifted, groups.SO3)
     assert groups.orthogonality_defect(fixed, groups.SO3) < 1e-12
     assert np.abs(fixed - g).max() < 1e-5
+
+
+def test_the_shared_identity_is_read_only():
+    """``groups.EYE3`` is read by every renormalization and Cayley call; an
+    in-place update raises instead of corrupting them all."""
+    with pytest.raises(ValueError):
+        groups.EYE3[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        groups.EYE3 += 1.0
+    assert np.array_equal(groups.EYE3, np.eye(3))
+    drifted = rot_x(0.3) + 1e-6
+    assert groups.renormalize(drifted, groups.SO3).flags.writeable

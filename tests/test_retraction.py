@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geovar import groups, solver
+from geovar import groups, retraction, solver
 from geovar.errors import ConfigError, SingularRetractionError
 from geovar.retraction import (
     CayleyRetraction,
@@ -44,6 +44,22 @@ def test_tau_of_minus_xi_is_the_inverse(xi, tag):
     retr = CayleyRetraction(tag)
     xi = np.asarray(xi)
     assert np.abs(retr.tau(xi) @ retr.tau(-xi) - np.eye(3)).max() < 1e-12
+
+
+@pytest.mark.parametrize("tag", TAGS)
+@pytest.mark.parametrize("shape", [(3,), (4, 3)], ids=["one", "stack"])
+def test_kernels_return_fresh_arrays_over_a_read_only_identity(tag, shape):
+    """The kernels add to ``groups.EYE3``, which rejects writes; what they
+    return is a new array the caller may update in place."""
+    retr = CayleyRetraction(tag)
+    with pytest.raises(ValueError):
+        retraction.groups.EYE3 += 1.0
+    xi = np.random.default_rng(5).uniform(-0.5, 0.5, size=shape)
+    for out in (retr.tau(xi), retr.dtau_matrix(xi), retr.dtau_inv_matrix(xi),
+                retr.tau(np.zeros(shape)), TruncExpRetraction(tag, 3).tau(xi)):
+        assert out.flags.writeable
+        out += 1.0
+    assert np.array_equal(retr.tau(np.zeros(3)), np.eye(3))
 
 
 def test_so3_cayley_of_2e1_is_quarter_turn():
