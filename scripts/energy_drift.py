@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from geovar import groups
-from geovar.discrete import capped_steps, dep_solve_path, reconstruct
+from geovar.discrete import (capped_steps, dep_solve_path, reconstruct,
+                             spatial_momentum)
 from geovar.models import free_rigid_body_model
 from geovar.retraction import CayleyRetraction
 
@@ -69,12 +70,7 @@ def main(argv=None):
     capped = len(capped_steps(iters))
     g = reconstruct(xi, np.eye(3), h, retr)
     energy = body.energy(xi)
-    # spatial momentum Ad*_{g_k^-1} (dtau^-1_{h xi_k})* (I xi_k), all steps at once
-    AdT = np.swapaxes(
-        groups.Ad_matrix(np.swapaxes(g[:-1], -1, -2), groups.SO3), -1, -2
-    )
-    mu = retr.dtau_inv_star(h * xi, body.lhat_grad(h)(xi) / h)
-    pi = (AdT @ mu[..., None])[..., 0]
+    pi = spatial_momentum(body.lhat_grad(h), xi, g[:-1], h, retr)
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -369,15 +369,9 @@ def _solve_frb(cfg, args):
     N, h = cfg["N"], cfg["h"]
     xi_nodes, iters, stuck = flow(N, h)
     g_nodes = discrete.reconstruct(xi_nodes, g0, h, retr)
-    pair_eval = body.pair_eval(h, retr)
-    # all N-1 adjacent pairs (g_k, g_k+1), k < N-1, at once per generator
-    pairs = ((None, g_nodes[:-2]), (None, g_nodes[1:-1]))
-    momenta = np.stack(
-        [
-            discrete.discrete_momentum(pair_eval, pairs, e, "plus", retr)
-            for e in np.eye(3)
-        ],
-        axis=1,
+    # nodes k < N-1: one row per adjacent pair (g_k, g_k+1)
+    momenta = discrete.spatial_momentum(
+        body.lhat_grad(h), xi_nodes[:-1], g_nodes[:-2], h, retr
     )
     energy = body.energy(xi_nodes)
     diag = {

@@ -28,6 +28,9 @@ stack the residual it has alone.
 :func:`dep_step` advances the discrete Euler-Poincare flow by one node; its
 3-dim root find is :func:`geovar.solver.newton_stack`.  :func:`dep_solve_path`
 starts each root find from an extrapolation of the last three nodes.
+:func:`spatial_momentum` is the flow's conserved momentum in closed form;
+the central-difference pairing :func:`discrete_momentum` is its
+independent reference.
 """
 
 from __future__ import annotations
@@ -396,6 +399,18 @@ def discrete_momentum(Ld_eval, pair, xi, side, retr, eps=1e-6):
     if not np.all(np.isfinite(val)):
         raise DomainError("non-finite momentum pairing")
     return float(val) if np.ndim(val) == 0 else val
+
+
+def spatial_momentum(lhat_grad, xi_nodes, g_nodes, h, retr):
+    """Spatial momentum ``Ad*_{g_k^-1} (dtau^-1_{h xi_k})* lhat_grad(xi_k) / h``
+    of the left-trivialized flow of :func:`dep_solve_path`, one row per node
+    ``xi_k`` (M, d) with its group node ``g_k`` (M, 3, 3).  Row k is, in
+    closed form, the pairing :func:`discrete_momentum` takes on
+    ``(g_k, g_{k+1})``, without its ``1e-16 / eps`` round-off floor."""
+    tag = retr.group_tag
+    AdT = np.swapaxes(groups.Ad_matrix(groups.inverse_matrix(g_nodes, tag), tag), -1, -2)
+    mu = retr.dtau_inv_star(h * xi_nodes, lhat_grad(xi_nodes) / h)
+    return (AdT @ mu[..., None])[..., 0]
 
 
 # ---------------------------------------------------------------------------

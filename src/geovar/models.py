@@ -570,9 +570,11 @@ class FreeRigidBody:
 
     def __post_init__(self):
         self.inertia = np.asarray(self.inertia, dtype=float)
-        if self.inertia.shape != (3,) or np.any(self.inertia <= 0):
+        if self.inertia.shape != (3,) or not np.all(
+            np.isfinite(self.inertia) & (self.inertia > 0)
+        ):
             raise ConfigError(
-                "inertia", f"need three positive entries, got {self.inertia!r}"
+                "inertia", f"need three finite positive entries, got {self.inertia!r}"
             )
 
     def lhat_grad(self, h):

@@ -105,8 +105,8 @@ class SecondOrderProblem:
     conserved: Optional[int] = None
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise ValueError("h must be positive")
+        if not (np.isfinite(self.h) and self.h > 0):
+            raise ValueError("h must be finite and positive")
         if self.N < 6:
             raise SizeError(f"need N >= 6, got {self.N}")
 

@@ -67,6 +67,13 @@ def test_rigid_body_inertia_validated():
         FreeRigidBody(inertia=np.array([1.0, -2.0, 3.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_rigid_body_inertia_must_be_finite(bad):
+    """A NaN entry passes an ``inertia <= 0`` test; it and inf must not build."""
+    with pytest.raises(ConfigError, match="inertia"):
+        FreeRigidBody(inertia=np.array([1.0, bad, 3.0]))
+
+
 # -- vehicle closed forms ----------------------------------------------------
 
 

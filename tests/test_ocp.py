@@ -135,6 +135,14 @@ def test_boundary_data_rejects_non_finite():
         se2_boundary(xi0=np.array([np.nan, 0, 0]))
 
 
+@pytest.mark.parametrize("h", [np.nan, np.inf], ids=["nan", "inf"])
+def test_problem_rejects_a_non_finite_step(h):
+    """``nan <= 0`` is False, so a sign test alone builds a problem with
+    ``T = nan``."""
+    with pytest.raises(ValueError, match="h must be finite and positive"):
+        se2_problem(N=10, h=h)
+
+
 # -- stencils ----------------------------------------------------------------
 
 

@@ -2,6 +2,7 @@
 tracer in ``bench/``."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,23 @@ def test_energy_drift_writes_one_row_per_step(tmp_path, capsys):
     rows = np.loadtxt(tmp_path / "conservation.csv", delimiter=",", skiprows=1)
     assert rows.shape == (50, 5)
     assert np.abs(rows[:, 2:] - rows[0, 2:]).max() < 1e-12
+
+
+def test_energy_drift_momentum_equals_the_cli_diagnostic(tmp_path):
+    """The script's defaults are the rigid-body fixture, and both report the
+    one closed-form spatial momentum: rows 0..N-2 agree exactly."""
+    from geovar import cli
+
+    config = Path(__file__).parent.parent / "configs" / "free_rigid_body.json"
+    assert cli.main(["solve", str(config), "--out-dir", str(tmp_path / "cli")]) == 0
+    diag = json.loads((tmp_path / "cli" / "diagnostics.json").read_text())
+    code = load_script("energy_drift").main(
+        ["--steps", str(diag["N"]), "--out-dir", str(tmp_path / "script")]
+    )
+    assert code == 0
+    rows = np.loadtxt(tmp_path / "script" / "conservation.csv", delimiter=",",
+                      skiprows=1)
+    assert np.array_equal(rows[:-1, 2:], diag["momentum_per_step"])
 
 
 def test_energy_drift_exits_2_when_a_step_hits_the_newton_cap(
