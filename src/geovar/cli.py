@@ -295,8 +295,23 @@ def write_trajectory(path, t_nodes, q_nodes, xi_nodes, lam_nodes, g_nodes):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _finite_or_null(value):
+    """``value`` with each non-finite float, nested ones too, as None."""
+    if isinstance(value, float):
+        return value if np.isfinite(value) else None
+    if isinstance(value, list):
+        return [_finite_or_null(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    return value
+
+
 def write_diagnostics(path, payload):
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Strict JSON: non-finite numbers are written as ``null``, and any
+    that the conversion misses makes the dump fail."""
+    text = json.dumps(_finite_or_null(payload), indent=2, sort_keys=True,
+                      allow_nan=False)
+    Path(path).write_text(text + "\n")
 
 
 # ---------------------------------------------------------------------------

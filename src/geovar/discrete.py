@@ -25,9 +25,10 @@ windows of shape ``(P, B, n)`` and return ``(P, B)`` (or ``(P, B, m)``);
 callbacks that evaluate each window on its own give every path of the
 stack the residual it has alone.
 
-:func:`dep_step` advances the discrete Euler-Poincare flow by one node; its
-3-dim root find is :func:`geovar.solver.newton_stack`.  :func:`dep_solve_path`
-starts each root find from an extrapolation of the last three nodes.
+:func:`dep_step` advances the left-trivialized discrete Euler-Poincare flow
+by one node; its 3-dim root find is :func:`geovar.solver.newton_stack`.
+:func:`dep_solve_path` starts each root find from an extrapolation of the
+last three nodes.
 :func:`spatial_momentum` is the flow's conserved momentum in closed form;
 the central-difference pairing :func:`discrete_momentum` is its
 independent reference.
@@ -216,13 +217,6 @@ def xi_slot_totals(Dxi, N, k):
     return S
 
 
-def _pulled_back(S, hxi, retr):
-    """Pulled-back momenta ``(dtau^-1_{h xi_m})* S_m`` of rows ``S_m`` and
-    ``hxi_m = h xi_m``, both of shape ``(M, d)``.  Under left trivialization
-    this is the only term of the node whose increment is unknown."""
-    return np.einsum("mji,mj->mi", retr.dtau_inv_matrix(hxi), S)
-
-
 def _transport(mu, hxi, retr):
     """Rows ``mu_m`` transported by ``Ad*_{W_m}``, ``W_m = tau(hxi_m)``; both
     of shape ``(M, d)``.  The left-trivialized balance transports the known
@@ -243,13 +237,13 @@ def group_chain_residual(S, xi_nodes, h, retr, trivialization, lo, hi):
 
     with ``W_m = tau(h xi_m)``; equal to the gradient of the action under
     trivialized variations at node i.  Both terms are formed at every node:
-    :func:`_pulled_back` gives the plain one and :func:`_transport` carries
-    it by ``Ad*_{W_m}``.  Stacked nodes ``(..., M, d)`` are flattened to rows
-    and restored.
+    ``retr.dtau_inv_star`` pulls the momentum back and :func:`_transport`
+    carries it by ``Ad*_{W_m}``.  Stacked nodes ``(..., M, d)`` are
+    flattened to rows and restored.
     """
     d = xi_nodes.shape[-1]
     hxi = (h * xi_nodes).reshape(-1, d)
-    mu = _pulled_back(S.reshape(-1, d), hxi, retr)
+    mu = retr.dtau_inv_star(hxi, S.reshape(-1, d))
     carried = _transport(mu, hxi, retr).reshape(xi_nodes.shape)
     mu = mu.reshape(xi_nodes.shape)
     if trivialization == LEFT:
@@ -418,45 +412,35 @@ def spatial_momentum(lhat_grad, xi_nodes, g_nodes, h, retr):
 # ---------------------------------------------------------------------------
 
 
-def dep_step(lhat_grad, xi_prev, h, retr, trivialization=LEFT,
-             tol=1e-13, max_iter=DEP_MAX_ITER, guess=None):
-    """Advance one step of the discrete Euler-Poincare equations.
+def dep_step(lhat_grad, xi_prev, h, retr, tol=1e-13, max_iter=DEP_MAX_ITER,
+             guess=None):
+    """Advance one step of the left-trivialized discrete Euler-Poincare
+    equations.
 
     Solves the transported momentum balance (the single row of
     :func:`dep_residual` on ``(xi_prev, xi_next)``) for the next algebra node
     with :func:`geovar.solver.newton_stack`, starting from ``guess``
     (``xi_prev`` when None).  The seed changes only where Newton starts:
     the residual, and so the root it converges to, depend on ``xi_prev``
-    alone.  The previous node's term is fixed during the step and computed
-    once.  Left trivialized, the unknown enters only through its
-    pulled-back momentum, so a Newton residual makes no ``tau`` call; right
-    trivialized, the unknown's momentum is also transported by
-    ``Ad*_{tau(h xi_next)}``.
+    alone.  The previous node's transported term is fixed during the step
+    and computed once.  The unknown enters only through its pulled-back
+    momentum, so a Newton residual makes no ``tau`` call.
     Returns ``(xi_next, iterations)``; the iteration count equals
     ``max_iter`` exactly when the residual never fell below ``tol``.
     """
-    if trivialization not in (LEFT, RIGHT):
-        raise ValueError(f"unknown trivialization {trivialization!r}")
     prev = xi_prev[None]
     hprev = h * prev
-    fixed = _pulled_back(lhat_grad(prev), hprev, retr)
-    if trivialization == LEFT:
-        fixed = _transport(fixed, hprev, retr)
+    fixed = _transport(retr.dtau_inv_star(hprev, lhat_grad(prev)), hprev, retr)
 
     def res(xs):
         """Residual rows at the stacked candidates ``xs`` of shape (B, d)."""
-        hxs = h * xs
-        mu = _pulled_back(lhat_grad(xs), hxs, retr)
-        if trivialization == RIGHT:
-            mu = _transport(mu, hxs, retr)
-        return (fixed - mu) / h
+        return (fixed - retr.dtau_inv_star(h * xs, lhat_grad(xs))) / h
 
     start = xi_prev if guess is None else guess
     return solver.newton_stack(res, start, tol, max_iter)
 
 
-def dep_solve_path(lhat_grad, xi0, N, h, retr, trivialization=LEFT,
-                   return_iterations=False):
+def dep_solve_path(lhat_grad, xi0, N, h, retr, return_iterations=False):
     """Generate N algebra nodes of the discrete Euler-Poincare flow from xi0.
 
     Step ``k >= 3`` seeds its Newton solve with the quadratic extrapolation
@@ -474,8 +458,7 @@ def dep_solve_path(lhat_grad, xi0, N, h, retr, trivialization=LEFT,
         guess = None
         if kk >= 3:
             guess = 3.0 * (out[kk - 1] - out[kk - 2]) + out[kk - 3]
-        out[kk], it = dep_step(lhat_grad, out[kk - 1], h, retr, trivialization,
-                               guess=guess)
+        out[kk], it = dep_step(lhat_grad, out[kk - 1], h, retr, guess=guess)
         iters.append(it)
     if return_iterations:
         return out, iters

@@ -162,8 +162,6 @@ class CayleyRetraction(Retraction):
             outer = xi[..., :, None] * xi[..., None, :]
             return groups.EYE3 - 0.5 * w + 0.25 * outer
         M = groups.EYE3 - 0.5 * groups.ad_matrix(xi, groups.SE2)
-        M = M + 0.0  # broadcast to batch shape
-        M = np.broadcast_to(M, xi.shape[:-1] + (3, 3)).copy()
         M[..., :, 0] += 0.25 * xi[..., 0, None] * xi
         return M
 

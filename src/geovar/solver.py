@@ -26,17 +26,17 @@ the residual, the solve ends "line search stalled".  LU with partial
 pivoting is backward stable, so the line search and the ``|r|_inf <= tol``
 test judge the step, not an SVD of every Jacobian.
 
-The ``"pseudoinverse"`` step is for Jacobians with a multiplier gauge: a
-constant shift of one constraint's multipliers that moves no residual row
-(``conserved`` in :class:`geovar.ocp.SecondOrderProblem`).  A residual
-function that declares those columns as its ``gauge`` attribute gets the
-LU step of ``J + c v v^T``, written into J in place: ``v`` is uniform on
-the gauge columns and ``c`` is the largest ``|J|`` in them.  Read as row
-indices, the gauge columns are the conserved constraint's rows, whose sum
-has zero gradient.  So the pinned matrix is nonsingular, and on a
-consistent system its solution is the minimal-norm step of J, which keeps
-the sum of the gauge entries fixed (Keller 1977, bordering).  A residual
-without a ``gauge`` gets the minimal-norm SVD step of ``np.linalg.lstsq``.
+The ``"pseudoinverse"`` setting is for Jacobians with a multiplier gauge:
+a constant shift of one constraint's multipliers that moves no residual
+row (``conserved`` in :class:`geovar.ocp.SecondOrderProblem`).  The
+residual function declares those columns as its ``gauge`` attribute, and
+each step is the LU step of ``J + c v v^T``, written into J in place:
+``v`` is uniform on the gauge columns and ``c`` is the largest ``|J|`` in
+them.  Read as row indices, the gauge columns are the conserved
+constraint's rows, whose sum has zero gradient.  So the pinned matrix is
+nonsingular, and on a consistent system its solution is the minimal-norm
+step of J, which keeps the sum of the gauge entries fixed (Keller 1977,
+bordering).  A residual without a ``gauge`` is refused.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .errors import DomainError, SingularSystemError
+from .errors import ConfigError, DomainError, SingularSystemError
 
 FD_STEP = float(np.finfo(float).eps) ** 0.5
 
@@ -197,8 +197,8 @@ class SolverConfig:
     # "lu": dense LU, errors on singular systems.  "pseudoinverse": for
     # consistent systems with a multiplier gauge freedom (e.g. a
     # conservation-law constraint whose windows telescope): LU with the
-    # residual's declared gauge pinned, the minimal-norm SVD step when it
-    # declares none.
+    # residual's declared gauge pinned; a residual that declares no gauge
+    # is refused.
     linear_solver: str = "lu"
 
     def __post_init__(self):
@@ -234,11 +234,18 @@ def solve(residual_fn, x0, cfg=None):
     the residual function carries one.  Backtracks with an Armijo condition
     on ``0.5 ||r||^2``; accepted steps never increase the residual 2-norm.
     Raises :class:`SingularSystemError` when the LU fails or the step is
-    not finite: under ``"lu"``, and under ``"pseudoinverse"`` when
-    ``residual_fn.gauge`` is pinned.  Deterministic for identical inputs.
+    not finite, and :class:`ConfigError` naming ``linear_solver``, before
+    any residual evaluation, when ``"pseudoinverse"`` meets a residual
+    function without a ``gauge``.  Deterministic for identical inputs.
     """
     if cfg is None:
         cfg = SolverConfig()
+    gauge = getattr(residual_fn, "gauge", None)
+    if cfg.linear_solver == "lu":
+        gauge = None  # "lu" refuses the singular Jacobian of a gauge
+    elif gauge is None:
+        raise ConfigError("linear_solver", '"pseudoinverse" pins the residual\'s '
+                          'multiplier gauge, and this residual declares none')
     x = np.array(x0, dtype=float)
     r = np.asarray(residual_fn(x))
     if r.size != x.size:
@@ -247,9 +254,6 @@ def solve(residual_fn, x0, cfg=None):
         )
     _check_finite(r)
     pattern = getattr(residual_fn, "pattern", None)
-    gauge = getattr(residual_fn, "gauge", None)
-    if cfg.linear_solver == "lu":
-        gauge = None  # "lu" refuses the singular Jacobian of a gauge
     history = [float(np.abs(r).max())]
     for it in range(cfg.max_iters):
         if history[-1] <= cfg.tol_residual:
@@ -257,15 +261,12 @@ def solve(residual_fn, x0, cfg=None):
         J = fd_jacobian(residual_fn, x, FD_STEP, pattern)
         if gauge is not None:  # J + c v v^T, v uniform on the gauge columns
             J[np.ix_(gauge, gauge)] += np.abs(J[:, gauge]).max() / gauge.size
-        if cfg.linear_solver == "pseudoinverse" and gauge is None:
-            dx = np.linalg.lstsq(J, -r, rcond=1e-12)[0]
-        else:
-            try:
-                dx = np.linalg.solve(J, -r)
-            except np.linalg.LinAlgError:
-                dx = None
-            if dx is None or not np.all(np.isfinite(dx)):
-                raise SingularSystemError(it, np.linalg.cond(J))
+        try:
+            dx = np.linalg.solve(J, -r)
+        except np.linalg.LinAlgError:
+            dx = None
+        if dx is None or not np.all(np.isfinite(dx)):
+            raise SingularSystemError(it, np.linalg.cond(J))
         # Armijo backtracking on f = 0.5 ||r||^2 with slope f'(0) = -2 f
         f0 = 0.5 * float(r @ r)
         t = 1.0

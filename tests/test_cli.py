@@ -283,6 +283,37 @@ def test_ball_under_lu_reports_the_singular_jacobian(tmp_path, capsys):
     assert "singular Jacobian at iteration 0" in capsys.readouterr().err
 
 
+def test_vehicle_under_pseudoinverse_is_a_config_error(tmp_path, capsys):
+    """The vehicle declares no multiplier gauge, so ``"pseudoinverse"``
+    has nothing to pin: the run exits 1 before it writes anything."""
+    table = base_se2_table()
+    table.setdefault("solver", {})["linear_solver"] = "pseudoinverse"
+    code = cli.main(["solve", write_config(tmp_path, table), "--out-dir", str(tmp_path)])
+    assert code == 1
+    assert "linear_solver" in capsys.readouterr().err
+    assert not (tmp_path / "trajectory.csv").exists()
+    assert not (tmp_path / "diagnostics.json").exists()
+
+
+OCP_CONFIGS = sorted(
+    p.name for p in CONFIG_DIR.glob("*.json")
+    if json.loads(p.read_text())["model"] != "free_rigid_body"
+)
+
+
+@pytest.mark.parametrize("name", OCP_CONFIGS)
+def test_shipped_config_pins_a_gauge_exactly_when_it_declares_one(name):
+    """Each optimal-control config runs ``"pseudoinverse"`` exactly when its
+    residual declares a multiplier gauge, so no shipped config is refused
+    and none runs LU into its gauge's singular Jacobian."""
+    cfg = json.loads((CONFIG_DIR / name).read_text())
+    prob, _ = cli.build_problem(cfg)
+    retr = make_retraction(cfg.get("retraction", "cayley"), prob.group_tag)
+    gauge = ocp.make_residual_fn(prob, retr).gauge
+    linear_solver = cli.solver_config(cfg, None).linear_solver
+    assert (linear_solver == "pseudoinverse") == (gauge is not None)
+
+
 def test_vehicle_solve_computes_no_svd(tmp_path, monkeypatch):
     """The LU Newton step factors the Jacobian and computes no SVD; at
     N = 320 the SVD of a condition number took several times the LU."""
@@ -336,6 +367,32 @@ def test_rigid_body_momentum_is_reported_below_the_pairing_floor(tmp_path):
     diag = json.loads((tmp_path / "diagnostics.json").read_text())
     assert np.shape(diag["momentum_per_step"]) == (diag["N"] - 1, 3)
     assert diag["momentum_drift"] <= 1e-12
+
+
+def test_overflowing_flow_writes_strict_json(tmp_path):
+    """A flow that overflows exits 2, and its non-finite diagnostics are
+    written as ``null``, not as the ``NaN`` and ``Infinity`` tokens that
+    strict JSON readers reject."""
+    table = base_table(FRB_CONFIG)
+    table["boundary"]["xi0"] = [1e150, 0.2, 0.5]
+    table["N"] = 20
+    with np.errstate(all="ignore"):
+        code = cli.main(["solve", write_config(tmp_path, table), "--out-dir", str(tmp_path)])
+    assert code == 2
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    text = (tmp_path / "diagnostics.json").read_text()
+    diag = json.loads(text, parse_constant=reject)
+    assert diag["converged"] is False
+    assert diag["momentum_drift"] is None
+    assert any(v is None for row in diag["momentum_per_step"] for v in row)
+
+
+def test_diagnostics_refuse_a_non_finite_number_they_cannot_convert(tmp_path):
+    with pytest.raises(ValueError):
+        cli.write_diagnostics(tmp_path / "diagnostics.json", {"x": (float("nan"),)})
 
 
 def test_rigid_body_step_that_hits_its_cap_is_reported(tmp_path, monkeypatch):

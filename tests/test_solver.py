@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from geovar import cli, ocp
-from geovar.errors import DomainError, SingularSystemError
+from geovar.errors import ConfigError, DomainError, SingularSystemError
 from geovar.retraction import make_retraction
 from geovar.solver import (
     FD_STEP,
@@ -224,22 +224,19 @@ def test_entry_write_equals_column_write_on_the_fixtures(name, N, retraction):
         assert np.array_equal(J, column_write_jacobian(fn, x, fn.pattern))
 
 
-def test_pseudoinverse_mode_handles_consistent_rank_deficiency():
-    """A consistent system with a one-dimensional gauge direction: the
-    minimal-norm step still converges where LU would reject the Jacobian."""
+def test_pseudoinverse_refuses_a_residual_without_a_gauge():
+    """``"pseudoinverse"`` pins the gauge a residual declares; a residual
+    that declares none is refused before it is evaluated."""
+    calls = []
 
     def residual(x):
-        s = x[0] - x[1]
-        return np.array([s * s - 1.0, 2.0 * (s * s - 1.0) + x[2], x[2] ** 3])
+        calls.append(None)
+        return x - 1.0
 
-    x0 = np.array([0.8, 0.1, 0.2])
-    result = solve(
-        residual, x0,
-        SolverConfig(linear_solver="pseudoinverse", tol_residual=1e-9,
-                     max_iters=100),
-    )
-    assert result.converged
-    assert abs((result.x[0] - result.x[1]) ** 2 - 1.0) < 1e-8
+    with pytest.raises(ConfigError, match="gauge") as exc:
+        solve(residual, np.zeros(3), SolverConfig(linear_solver="pseudoinverse"))
+    assert exc.value.field == "linear_solver"
+    assert calls == []
 
 
 def test_non_finite_residual_names_index():
