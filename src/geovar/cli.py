@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -298,7 +299,7 @@ def write_trajectory(path, t_nodes, q_nodes, xi_nodes, lam_nodes, g_nodes):
 def _finite_or_null(value):
     """``value`` with each non-finite float, nested ones too, as None."""
     if isinstance(value, float):
-        return value if np.isfinite(value) else None
+        return value if math.isfinite(value) else None
     if isinstance(value, list):
         return [_finite_or_null(v) for v in value]
     if isinstance(value, dict):
