@@ -378,6 +378,9 @@ def _solve_ocp(cfg, args, scfg):
     )
 
 
+# A flow that overflows is reported by its capped steps, exit code and
+# null diagnostics; numpy's floating-point warnings would only repeat it.
+@np.errstate(invalid="ignore", over="ignore")
 def _solve_frb(cfg, args):
     body, retr, flow = _rigid_body(cfg, args)
     table = cfg["boundary"]
@@ -514,6 +517,7 @@ def _ladder_ocp(cfg, args, scfg, rungs):
     return runs
 
 
+@np.errstate(invalid="ignore", over="ignore")  # as for _solve_frb
 def _ladder_frb(cfg, args, rungs):
     """The rigid-body flow at every ``(N, h)`` rung; returns ``(h, node
     times, xi node table)`` per rung."""

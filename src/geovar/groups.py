@@ -121,28 +121,16 @@ def check_matrix(g, tag, tol=_ORTHO_TOL):
     if g.shape[-2:] != (3, 3):
         raise GroupInvariantError(f"expected trailing shape (3, 3), got {g.shape}")
     if tag == SO3:
-        defect = np.abs(
-            np.swapaxes(g, -1, -2) @ g - EYE3
-        ).max()
-        if defect > tol:
-            raise GroupInvariantError(
-                f"SO(3) matrix not orthogonal (defect {defect:.3e})"
-            )
-        if np.abs(np.linalg.det(g) - 1.0).max() > tol:
-            raise GroupInvariantError("SO(3) matrix has determinant != +1")
+        R, what = g, "SO(3) matrix"
     else:
         if np.abs(g[..., 2, :] - np.array([0.0, 0.0, 1.0])).max() > 0.0:
             raise GroupInvariantError("SE(2) bottom row must be exactly (0, 0, 1)")
-        R = g[..., :2, :2]
-        defect = np.abs(
-            np.swapaxes(R, -1, -2) @ R - np.eye(2)
-        ).max()
-        if defect > tol:
-            raise GroupInvariantError(
-                f"SE(2) rotation block not orthogonal (defect {defect:.3e})"
-            )
-        if np.abs(np.linalg.det(R) - 1.0).max() > tol:
-            raise GroupInvariantError("SE(2) rotation block has determinant != +1")
+        R, what = g[..., :2, :2], "SE(2) rotation block"
+    defect = orthogonality_defect(g, tag)
+    if defect > tol:
+        raise GroupInvariantError(f"{what} not orthogonal (defect {defect:.3e})")
+    if np.abs(np.linalg.det(R) - 1.0).max() > tol:
+        raise GroupInvariantError(f"{what} has determinant != +1")
 
 
 def inverse_matrix(g, tag):

@@ -442,11 +442,7 @@ def initial_guess(prob, retr):
     N, n, m = prob.N, prob.n, prob.m
     frac = np.linspace(0.0, 1.0, N + 1)[:, None]
     q_nodes = (1 - frac) * b.q0[None, :] + frac * b.qT[None, :]
-    if prob.trivialization == LEFT:
-        rel = groups.inverse_matrix(b.g0, prob.group_tag) @ b.gT
-    else:
-        rel = b.gT @ groups.inverse_matrix(b.g0, prob.group_tag)
-    xi_const = retr.tau_inv(rel) / (N * prob.h)
+    xi_const = _terminal_mismatch(prob, b.g0, retr) / (N * prob.h)
     xi_nodes = np.tile(xi_const, (N, 1))
     path = DiscretePath(
         q_nodes=q_nodes,
@@ -633,28 +629,24 @@ def refine_guess(prob_coarse, x_coarse, prob_fine):
     Nf, hf = prob_fine.N, prob_fine.h
     if abs(Nc * hc - Nf * hf) > 1e-12 * Nc * hc:
         raise SizeError("refine_guess requires matching horizons T = N h")
-    tq_c = np.arange(Nc + 1) * hc
-    tq_f = np.arange(Nf + 1) * hf
-    q_nodes = np.stack(
-        [np.interp(tq_f, tq_c, path.q_nodes[:, c]) for c in range(prob_coarse.n)],
-        axis=1,
+    q_nodes = _interp_columns(
+        np.arange(Nf + 1) * hf, np.arange(Nc + 1) * hc, path.q_nodes
     )
-    tx_c = (np.arange(Nc) + 0.5) * hc
-    tx_f = (np.arange(Nf) + 0.5) * hf
-    xi_nodes = np.stack(
-        [np.interp(tx_f, tx_c, path.xi_nodes[:, c]) for c in range(3)], axis=1
+    xi_nodes = _interp_columns(
+        (np.arange(Nf) + 0.5) * hf, (np.arange(Nc) + 0.5) * hc, path.xi_nodes
     )
-    tl_c = (np.arange(Nc - 1) + 1.0) * hc
-    tl_f = (np.arange(Nf - 1) + 1.0) * hf
-    lam = np.stack(
-        [
-            np.interp(tl_f, tl_c, path.lambda_nodes[:, c]) * (hf / hc)
-            for c in range(prob_coarse.m)
-        ],
-        axis=1,
-    )
+    lam = _interp_columns(
+        (np.arange(Nf - 1) + 1.0) * hf, (np.arange(Nc - 1) + 1.0) * hc,
+        path.lambda_nodes,
+    ) * (hf / hc)
     fine = DiscretePath(q_nodes=q_nodes, xi_nodes=xi_nodes, h=hf, lambda_nodes=lam)
     return assemble_unknowns(prob_fine, fine)
+
+
+def _interp_columns(t_new, t_old, table):
+    """Each column of ``table``, sampled at ``t_old``, linearly
+    interpolated to ``t_new``."""
+    return np.stack([np.interp(t_new, t_old, col) for col in table.T], axis=1)
 
 
 def solution_path(prob, x, retr):

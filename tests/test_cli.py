@@ -314,16 +314,18 @@ def test_shipped_config_pins_a_gauge_exactly_when_it_declares_one(name):
     assert (linear_solver == "pseudoinverse") == (gauge is not None)
 
 
-def test_vehicle_solve_computes_no_svd(tmp_path, monkeypatch):
+@pytest.mark.parametrize("config", [SE2_CONFIG, BALL_CONFIG], ids=["vehicle", "ball"])
+def test_solve_computes_no_svd(config, tmp_path, monkeypatch):
     """The LU Newton step factors the Jacobian and computes no SVD; at
-    N = 320 the SVD of a condition number took several times the LU."""
+    N = 320 the SVD of a condition number took several times the LU.
+    The ball's Cayley inverse guards its singularity by the angle alone."""
 
     def no_svd(*args, **kwargs):
         raise AssertionError("SVD computed on the LU path")
 
     monkeypatch.setattr(np.linalg, "svd", no_svd)
     monkeypatch.setattr(np.linalg, "cond", no_svd)
-    assert cli.main(["solve", SE2_CONFIG, "--out-dir", str(tmp_path)]) == 0
+    assert cli.main(["solve", config, "--out-dir", str(tmp_path)]) == 0
     assert json.loads((tmp_path / "diagnostics.json").read_text())["converged"] is True
 
 
@@ -376,8 +378,7 @@ def test_overflowing_flow_writes_strict_json(tmp_path):
     table = base_table(FRB_CONFIG)
     table["boundary"]["xi0"] = [1e150, 0.2, 0.5]
     table["N"] = 20
-    with np.errstate(all="ignore"):
-        code = cli.main(["solve", write_config(tmp_path, table), "--out-dir", str(tmp_path)])
+    code = cli.main(["solve", write_config(tmp_path, table), "--out-dir", str(tmp_path)])
     assert code == 2
 
     def reject(token):

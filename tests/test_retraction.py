@@ -109,6 +109,13 @@ def test_tau_inv_round_trip_random():
         xi *= (rng.uniform(0, 1, size=(100, 1)) / np.linalg.norm(xi, axis=1, keepdims=True))
         assert np.abs(retr.tau_inv(retr.tau(xi)) - xi).max() < 1e-10
         assert np.abs(retr.tau(retr.tau_inv(retr.tau(xi))) - retr.tau(xi)).max() < 1e-10
+    # SO(3) rotations just inside the guard's angle bound, where
+    # cond(e + g) = 1/cos(theta/2) is about 1e6, still invert accurately
+    retr = CayleyRetraction(groups.SO3)
+    axes = rng.standard_normal((100, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    xi = 2.0 * np.tan(0.5 * (np.pi - 2e-6)) * axes
+    assert np.abs(retr.tau_inv(retr.tau(xi)) - xi).max() <= 1e-9 * np.abs(xi).max()
 
 
 def test_so3_tau_inv_of_quarter_turn():
@@ -120,6 +127,8 @@ def test_tau_inv_singularity_guard_names_step_size():
     for tag, g in (
         (groups.SO3, rot_x(np.pi - 1e-8)),
         (groups.SE2, np.array([[-1.0, 0, 0], [0, -1.0, 0], [0, 0, 1.0]])),
+        # one rotation past the bound rejects the whole stack
+        (groups.SO3, np.stack([np.eye(3), rot_x(1.0), rot_x(np.pi - 1e-8)])),
     ):
         with pytest.raises(SingularRetractionError, match="smaller step h"):
             CayleyRetraction(tag).tau_inv(g)
