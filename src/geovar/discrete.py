@@ -476,20 +476,42 @@ def reconstruct(xi_nodes, g0, h, retr, trivialization=LEFT):
     """Recover group nodes from algebra increments.
 
     left:  ``g_{k+1} = g_k tau(h xi_k)``; right: ``g_{k+1} = tau(h xi_k) g_k``.
-    SO(3) nodes are re-projected onto the group when orthogonality drift
-    exceeds the trigger.
+    ``xi_nodes`` may be a stack of paths ``(..., N, d)``; the nodes then
+    carry the same leading axes.  SO(3) nodes are re-projected onto the
+    group where their orthogonality drift exceeds the trigger of
+    :func:`geovar.groups.renormalize`.  The products are formed node by
+    node and the drift of all nodes is tested at once; where a node
+    exceeds the trigger, it is projected and the nodes after it are formed
+    again from it.  Each path equals an :func:`advance` loop bit for bit.
     """
-    N = xi_nodes.shape[0]
-    out = np.empty((N + 1, 3, 3))
-    out[0] = g0
+    tag = retr.group_tag
+    N = xi_nodes.shape[-2]
     steps = retr.tau(h * xi_nodes)
-    for kk in range(N):
-        out[kk + 1] = advance(out[kk], steps[kk], retr.group_tag, trivialization)
+    out = np.empty(steps.shape[:-3] + (N + 1, 3, 3))
+    out[..., 0, :, :] = g0
+    done = 0  # nodes 0..done are final
+    while done < N:
+        for kk in range(done, N):
+            out[..., kk + 1, :, :] = _compose(
+                out[..., kk, :, :], steps[..., kk, :, :], trivialization
+            )
+        if tag != groups.SO3:
+            break
+        far = groups.drifted(out[..., done + 1 :, :, :])
+        far = far.reshape(-1, N - done).any(axis=0)
+        if not far.any():
+            break
+        done += 1 + int(np.argmax(far))
+        out[..., done, :, :] = groups.renormalize(out[..., done, :, :], tag)
     return out
 
 
 def advance(g, step, tag, trivialization=LEFT):
     """One reconstruction step: ``g tau`` (left) or ``tau g`` (right), then
     renormalized.  Broadcasts over stacked ``g`` and ``step``."""
-    g = g @ step if trivialization == LEFT else step @ g
-    return groups.renormalize(g, tag)
+    return groups.renormalize(_compose(g, step, trivialization), tag)
+
+
+def _compose(g, step, trivialization):
+    """The product of one reconstruction step, without renormalizing."""
+    return g @ step if trivialization == LEFT else step @ g

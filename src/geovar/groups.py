@@ -196,15 +196,22 @@ def orthogonality_defect(g, tag):
     return np.abs(np.swapaxes(R, -1, -2) @ R - np.eye(2)).max()
 
 
+def drifted(g, trigger=_POLAR_TRIGGER):
+    """Mask of the SO(3) matrices of a ``(..., 3, 3)`` stack whose drift
+    ``max |g^T g - e|`` exceeds the trigger: the ones :func:`renormalize`
+    projects.  Each matrix is tested on its own."""
+    return np.abs(np.swapaxes(g, -1, -2) @ g - EYE3).max(axis=(-2, -1)) > trigger
+
+
 def renormalize(g, tag, trigger=_POLAR_TRIGGER):
     """Re-project onto the group when drift exceeds the trigger (SO(3) only).
 
-    Stacked inputs are checked and projected matrix by matrix.
+    Stacked inputs are checked (:func:`drifted`) and projected matrix by
+    matrix.
     """
     if tag != SO3:
         return g
-    drift = np.abs(np.swapaxes(g, -1, -2) @ g - EYE3).max(axis=(-2, -1))
-    far = drift > trigger
+    far = drifted(g, trigger)
     if not np.any(far):
         return g
     out = g.copy()

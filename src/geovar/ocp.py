@@ -464,12 +464,13 @@ def closure_residual(prob, xi_nodes, retr):
     Reconstructs ``g_N`` from ``g_0`` and the increments and returns
     ``tau^-1(g_N^-1 g(T))`` (mirrored for the right-trivialized case);
     zero iff the reconstructed terminal configuration matches ``g(T)``.
+    ``xi_nodes`` may carry a leading stack axis of paths, ``(P, N, 3)``.
     """
     b = prob.boundary
     g_nodes = discrete.reconstruct(
         xi_nodes, b.g0, prob.h, retr, prob.trivialization
     )
-    return _terminal_mismatch(prob, g_nodes[-1], retr), g_nodes
+    return _terminal_mismatch(prob, g_nodes[..., -1, :, :], retr), g_nodes
 
 
 def _terminal_mismatch(prob, gN, retr):
@@ -483,7 +484,8 @@ def _terminal_mismatch(prob, gN, retr):
 
 
 def full_residual(prob, x, retr, Ld=None, Phi=None):
-    """Square residual vector: [M-stationarity | G-stationarity | closure | constraints]."""
+    """Square residual vector: [M-stationarity | G-stationarity | closure | constraints],
+    for each vector of a ``(P, total)`` stack ``x`` (or for one vector)."""
     if Ld is None or Phi is None:
         Ld, Phi = discretize(prob)
     path = scatter(prob, x)
@@ -518,7 +520,10 @@ def _assemble(prob, path, retr, Ld, Phi, closure):
 
 def make_residual_fn(prob, retr):
     """:func:`full_residual` as a function of ``x``, the discretized
-    callbacks captured once.
+    callbacks captured once.  When the retraction ``stacks_exactly``,
+    ``fn.stacked(X)`` returns the rows of :func:`full_residual` at every
+    vector of a ``(P, total)`` stack in one assembly and one stacked
+    reconstruction, each row equal to ``fn`` at that vector bit for bit.
 
     The function carries its sparsity as ``fn.pattern``, a
     :class:`solver.ColumnGroups` colored once over
@@ -545,6 +550,8 @@ def make_residual_fn(prob, retr):
         incidence, solver.greedy_column_groups(incidence),
         _closure_fill(prob, retr), local_rows,
     )
+    if retr.stacks_exactly:
+        fn.stacked = fn  # full_residual evaluates a (P, total) stack as well
     fn.gauge = None
     if prob.conserved is not None:
         fn.gauge = layout(prob).multiplier_columns(prob.conserved)

@@ -38,6 +38,10 @@ class Retraction:
     """Abstract interface; see :class:`CayleyRetraction` and :class:`TruncExpRetraction`."""
 
     group_tag: str
+    # True when each matrix or vector of a stacked input gets, bit for bit,
+    # the result it gets alone; a stacked residual then answers for each of
+    # its points (geovar.ocp.make_residual_fn)
+    stacks_exactly: bool
 
     def tau(self, xi):
         raise NotImplementedError
@@ -65,6 +69,8 @@ class Retraction:
 
 class CayleyRetraction(Retraction):
     """Cayley map in closed form for SE(2) or SO(3)."""
+
+    stacks_exactly = True
 
     def __init__(self, group_tag):
         groups.check_tag(group_tag)
@@ -158,7 +164,13 @@ class CayleyRetraction(Retraction):
 
 
 class TruncExpRetraction(Retraction):
-    """Exponential map truncated at a given polynomial order (cross-check tool)."""
+    """Exponential map truncated at a given polynomial order (cross-check tool).
+
+    Its inverse iterates until the whole input stack has converged, so a
+    matrix in a stack may take more Newton steps than it takes alone.
+    """
+
+    stacks_exactly = False
 
     def __init__(self, group_tag, order):
         groups.check_tag(group_tag)

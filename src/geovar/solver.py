@@ -47,13 +47,12 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, SingularSystemError
+from .errors import ConfigError, DomainError, GeovarError, SingularSystemError
 
 FD_STEP = float(np.finfo(float).eps) ** 0.5
 
 _ARMIJO_SLOPE = 1e-4
-_BACKTRACK = 0.5
-_MIN_STEP = 2.0 ** -20
+_STEP_LENGTHS = 0.5 ** np.arange(21)  # the Armijo trials t = 2^0 .. 2^-20
 _STACK_FD_STEP = 1e-7  # relative central-difference step of newton_stack
 
 
@@ -255,6 +254,7 @@ def solve(residual_fn, x0, cfg=None):
     _check_finite(r)
     pattern = getattr(residual_fn, "pattern", None)
     history = [float(np.abs(r).max())]
+    last = 0  # index in _STEP_LENGTHS of the step last accepted
     for it in range(cfg.max_iters):
         if history[-1] <= cfg.tol_residual:
             return SolveResult(x, r, True, it, history, "converged")
@@ -267,28 +267,55 @@ def solve(residual_fn, x0, cfg=None):
             dx = None
         if dx is None or not np.all(np.isfinite(dx)):
             raise SingularSystemError(it, np.linalg.cond(J))
-        # Armijo backtracking on f = 0.5 ||r||^2 with slope f'(0) = -2 f
-        f0 = 0.5 * float(r @ r)
-        t = 1.0
-        while t >= _MIN_STEP:
-            x_trial = x + t * dx
-            r_trial = np.asarray(residual_fn(x_trial))
-            if np.all(np.isfinite(r_trial)):
-                f_trial = 0.5 * float(r_trial @ r_trial)
-                if f_trial <= f0 - _ARMIJO_SLOPE * t * 2.0 * f0:
-                    break
-            t *= _BACKTRACK
-        else:
+        accepted = _armijo(residual_fn, x, dx, 0.5 * float(r @ r), last)
+        if accepted is None:
             return SolveResult(
                 x, r, False, it, history,
                 "line search stalled (step below 2^-20)",
             )
-        x = x_trial
-        r = r_trial
+        last, x, r = accepted
         history.append(float(np.abs(r).max()))
     converged = history[-1] <= cfg.tol_residual
     msg = "converged" if converged else "max iterations reached"
     return SolveResult(x, r, converged, cfg.max_iters, history, msg)
+
+
+def _armijo(residual_fn, x, dx, f0, last):
+    """Armijo backtracking on ``f = 0.5 ||r||^2``, whose slope along ``dx``
+    is ``-2 f0``: the first (longest) ``t`` of :data:`_STEP_LENGTHS` with
+    a finite residual and ``f(x + t dx) <= f0 - 1e-4 t 2 f0``.
+
+    Returns ``(k, x + t dx, r)`` for ``t = 2^-k``, or None when no trial
+    passes.  The trials ``t = 1 .. 2^-last`` are evaluated as one stack,
+    and only if none passes, the shorter ones as a second stack.  Each
+    trial is tested on its own row, so the result is the one of trying the
+    lengths one at a time.
+    """
+    for ks in (range(0, last + 1), range(last + 1, _STEP_LENGTHS.size)):
+        if not ks:  # the first stack held every length
+            break
+        points = x + _STEP_LENGTHS[ks.start : ks.stop, None] * dx
+        for k, x_t, r_t in zip(ks, points, _rows(residual_fn, points)):
+            if np.all(np.isfinite(r_t)) and (
+                0.5 * float(r_t @ r_t)
+                <= f0 - _ARMIJO_SLOPE * _STEP_LENGTHS[k] * 2.0 * f0
+            ):
+                return k, x_t, r_t
+    return None
+
+
+def _rows(residual_fn, points):
+    """The residual at each row of ``points``: one call of
+    ``residual_fn.stacked`` when the function carries one, and otherwise,
+    or when that call raises, one call per point, made as the rows are
+    read.  A point by point pass raises only at the point that fails."""
+    stacked = getattr(residual_fn, "stacked", None)
+    if stacked is not None:
+        try:
+            return stacked(points)
+        except GeovarError:
+            pass
+    return (np.asarray(residual_fn(p)) for p in points)
 
 
 def _check_finite(r):

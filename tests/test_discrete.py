@@ -1,10 +1,13 @@
 """Residual-assembler tests: discrete Euler-Poincare, second/k-th order
 stationarity, momentum maps, reconstruction."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from geovar import groups, oracle
+from geovar import cli, groups, ocp, oracle
 from geovar.discrete import (
     LEFT,
     RIGHT,
@@ -535,3 +538,105 @@ def test_reconstruct_right_composition():
     for k in range(4):
         g = retr.tau(0.1 * xi[k]) @ g
         assert np.abs(out[k + 1] - g).max() < 1e-12
+
+
+# -- stacked reconstruction and its drift test -------------------------------
+
+
+def advance_loop(xi_nodes, g0, h, retr, trivialization=LEFT):
+    """Reconstruction one node at a time: multiply, then project the node
+    onto SO(3) when its drift ``max |g^T g - e|`` exceeds 1e-9.  Returns the
+    nodes and the indices of the projected ones."""
+    N = xi_nodes.shape[0]
+    steps = retr.tau(h * xi_nodes)
+    out = np.empty((N + 1, 3, 3))
+    out[0] = g0
+    projected = []
+    for k in range(N):
+        g = out[k] @ steps[k] if trivialization == LEFT else steps[k] @ out[k]
+        if retr.group_tag == groups.SO3:
+            if np.abs(np.swapaxes(g, -1, -2) @ g - np.eye(3)).max() > 1e-9:
+                g = groups.so3_polar_project(g[None])[0]
+                projected.append(k + 1)
+        out[k + 1] = g
+    return out, projected
+
+
+class DriftingCayley(CayleyRetraction):
+    """SO(3) Cayley steps scaled by ``1 + rate |xi_1|``: each step leaves the
+    group by about ``rate |xi_1|``, so the drift of a product grows."""
+
+    def __init__(self, rate):
+        super().__init__(groups.SO3)
+        self.rate = rate
+
+    def tau(self, xi):
+        return super().tau(xi) * (1.0 + self.rate * np.abs(xi[..., :1, None]))
+
+
+def ball_xi_nodes(N, seed):
+    """Algebra nodes of the ball fixture near its standard guess."""
+    cfg = json.loads((Path(__file__).resolve().parent.parent / "configs"
+                      / "ball_plate.json").read_text())
+    prob, _ = cli.build_problem(cfg, N=N, h=cfg["N"] * cfg["h"] / N)
+    retr = CayleyRetraction(groups.SO3)
+    x0 = ocp.initial_guess(prob, retr)
+    x = x0 + 0.02 * np.random.default_rng(seed).normal(size=x0.size)
+    return ocp.scatter(prob, x).xi_nodes, prob, retr
+
+
+def test_clean_ball_path_is_never_projected_and_equals_the_loop():
+    xi, prob, retr = ball_xi_nodes(48, 0)
+    want, projected = advance_loop(xi, prob.boundary.g0, prob.h, retr, prob.trivialization)
+    assert projected == []
+    got = reconstruct(xi, prob.boundary.g0, prob.h, retr, prob.trivialization)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("trivialization", [LEFT, RIGHT])
+def test_a_path_whose_drift_crosses_the_trigger_equals_the_loop(trivialization):
+    xi = np.random.default_rng(5).uniform(-1.0, 1.0, size=(30, 3))
+    xi[:, 0] = 1.0
+    retr = DriftingCayley(3.3e-10)
+    want, projected = advance_loop(xi, np.eye(3), 0.1, retr, trivialization)
+    assert projected and 5 < projected[0] < 25
+    assert np.array_equal(reconstruct(xi, np.eye(3), 0.1, retr, trivialization), want)
+
+
+@pytest.mark.parametrize("trivialization", [LEFT, RIGHT])
+def test_a_stack_whose_paths_cross_at_different_nodes_equals_the_loop(trivialization):
+    rng = np.random.default_rng(8)
+    xi = rng.uniform(-1.0, 1.0, size=(3, 60, 3))
+    xi[:, :, 0] = np.array([1.0, 0.6, 0.35])[:, None]
+    g0 = CayleyRetraction(groups.SO3).tau(rng.uniform(-1.0, 1.0, size=3))
+    retr = DriftingCayley(3.3e-10)
+    got = reconstruct(xi, g0, 0.1, retr, trivialization)
+    assert got.shape == (3, 61, 3, 3)
+    firsts = set()
+    for path, nodes in zip(xi, got):
+        want, projected = advance_loop(path, g0, 0.1, retr, trivialization)
+        assert np.array_equal(nodes, want)
+        assert np.array_equal(reconstruct(path, g0, 0.1, retr, trivialization), want)
+        firsts.add(projected[0])
+    assert len(firsts) == 3
+
+
+@pytest.mark.parametrize("tag,trivialization", [(groups.SE2, LEFT), (groups.SO3, RIGHT),
+                                                (groups.SO3, LEFT)])
+def test_stacked_reconstruction_equals_each_path_alone(tag, trivialization):
+    rng = np.random.default_rng(21)
+    retr = CayleyRetraction(tag)
+    g0 = retr.tau(rng.uniform(-1.0, 1.0, size=3))
+    xi = rng.uniform(-2.0, 2.0, size=(21, 40, 3))
+    got = reconstruct(xi, g0, 0.1, retr, trivialization)
+    for path, nodes in zip(xi, got):
+        assert np.array_equal(nodes, reconstruct(path, g0, 0.1, retr, trivialization))
+        assert np.array_equal(nodes, advance_loop(path, g0, 0.1, retr, trivialization)[0])
+
+
+def test_drifted_is_the_renormalize_trigger():
+    g = np.stack([np.eye(3), np.eye(3) * (1.0 + 4e-10), np.eye(3) * (1.0 + 6e-10)])
+    assert groups.drifted(g).tolist() == [False, False, True]
+    out = groups.renormalize(g, groups.SO3)
+    assert np.array_equal(out[:2], g[:2])
+    assert not np.array_equal(out[2], g[2])
