@@ -17,6 +17,15 @@ optimal-control residual (:func:`geovar.ocp.make_residual_fn`) carries one,
 so its Jacobian is 2 stacked evaluations of the local rows plus 6 (N-2)
 closure-only chain steps for the 3 terminal-closure rows.
 
+The Armijo line search of :func:`solve` tries the step lengths
+``t = 1 .. 2^-20`` in at most two stacks: ``t = 1`` down to the length
+accepted at the previous iteration, then, only if none passes, all the
+shorter ones.  A residual function with a ``stacked`` attribute evaluates
+each stack in one call (the optimal-control residual does under the Cayley
+retraction); others are called one trial at a time and only up to the
+accepted one.  Each trial is tested on its own row, so the accepted step is
+that of trying the lengths one at a time, bit for bit.
+
 The ``"lu"`` step of :func:`solve` has no condition threshold.  An exactly
 singular Jacobian (the LU factorization fails) or a non-finite step raises
 :class:`SingularSystemError`; only then is the condition number computed,
@@ -231,7 +240,9 @@ def solve(residual_fn, x0, cfg=None):
 
     The Jacobian is :func:`fd_jacobian` over ``residual_fn.pattern`` when
     the residual function carries one.  Backtracks with an Armijo condition
-    on ``0.5 ||r||^2``; accepted steps never increase the residual 2-norm.
+    on ``0.5 ||r||^2`` (:func:`_armijo`), evaluating the trials through
+    ``residual_fn.stacked`` when the function carries one; accepted steps
+    never increase the residual 2-norm.
     Raises :class:`SingularSystemError` when the LU fails or the step is
     not finite, and :class:`ConfigError` naming ``linear_solver``, before
     any residual evaluation, when ``"pseudoinverse"`` meets a residual
