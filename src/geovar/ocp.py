@@ -520,10 +520,10 @@ def _assemble(prob, path, retr, Ld, Phi, closure):
 
 def make_residual_fn(prob, retr):
     """:func:`full_residual` as a function of ``x``, the discretized
-    callbacks captured once.  When the retraction ``stacks_exactly``,
-    ``fn.stacked(X)`` returns the rows of :func:`full_residual` at every
-    vector of a ``(P, total)`` stack in one assembly and one stacked
-    reconstruction, each row equal to ``fn`` at that vector bit for bit.
+    callbacks captured once.  ``fn.stacked(X)`` returns the rows of
+    :func:`full_residual` at every vector of a ``(P, total)`` stack in one
+    assembly and one stacked reconstruction, each row equal to ``fn`` at
+    that vector bit for bit under either retraction.
 
     The function carries its sparsity as ``fn.pattern``, a
     :class:`solver.ColumnGroups` colored once over
@@ -550,8 +550,7 @@ def make_residual_fn(prob, retr):
         incidence, solver.greedy_column_groups(incidence),
         _closure_fill(prob, retr), local_rows,
     )
-    if retr.stacks_exactly:
-        fn.stacked = fn  # full_residual evaluates a (P, total) stack as well
+    fn.stacked = fn  # full_residual evaluates a (P, total) stack as well
     fn.gauge = None
     if prob.conserved is not None:
         fn.gauge = layout(prob).multiplier_columns(prob.conserved)

@@ -16,10 +16,13 @@ Two families are provided:
   cross-checks.  Truncation leaves the group at order ``||xi||^{s+1}``, so
   it is not used for production trajectories.  Its inverse has no closed
   form: it is one :func:`geovar.solver.newton_stack` solve over the input
-  stack.
+  stack, which converges each matrix on its own.
 
 All operations accept stacked inputs (``(..., 3)`` vectors, ``(..., 3, 3)``
-matrices).
+matrices) and give each member of a stack the result it gets alone, bit
+for bit, so a stacked residual answers for each of its points
+(:func:`geovar.ocp.make_residual_fn`).  A stack raises where any of its
+members would.
 """
 
 from __future__ import annotations
@@ -38,10 +41,6 @@ class Retraction:
     """Abstract interface; see :class:`CayleyRetraction` and :class:`TruncExpRetraction`."""
 
     group_tag: str
-    # True when each matrix or vector of a stacked input gets, bit for bit,
-    # the result it gets alone; a stacked residual then answers for each of
-    # its points (geovar.ocp.make_residual_fn)
-    stacks_exactly: bool
 
     def tau(self, xi):
         raise NotImplementedError
@@ -69,8 +68,6 @@ class Retraction:
 
 class CayleyRetraction(Retraction):
     """Cayley map in closed form for SE(2) or SO(3)."""
-
-    stacks_exactly = True
 
     def __init__(self, group_tag):
         groups.check_tag(group_tag)
@@ -164,13 +161,7 @@ class CayleyRetraction(Retraction):
 
 
 class TruncExpRetraction(Retraction):
-    """Exponential map truncated at a given polynomial order (cross-check tool).
-
-    Its inverse iterates until the whole input stack has converged, so a
-    matrix in a stack may take more Newton steps than it takes alone.
-    """
-
-    stacks_exactly = False
+    """Exponential map truncated at a given polynomial order (cross-check tool)."""
 
     def __init__(self, group_tag, order):
         groups.check_tag(group_tag)
@@ -195,7 +186,9 @@ class TruncExpRetraction(Retraction):
         Poses ``tau(xi) = g`` as the 3-dim root find ``P(tau(xi)) = P(g)``
         in the linear coordinates ``P`` of :meth:`_project`, seeded with
         ``P(g)`` (first order in ``xi``), and solves the whole input stack
-        with one :func:`geovar.solver.newton_stack` call.
+        with one :func:`geovar.solver.newton_stack` call.  That call freezes
+        each matrix as it converges, so each gets its lone result bit for
+        bit; the stack raises if any matrix does not converge.
         """
         target = self._project(np.asarray(g, dtype=float))
 

@@ -3,7 +3,8 @@
 :func:`solve` is the damped Newton iteration for the large square systems
 of the optimal-control problems.  :func:`newton_stack` solves a stack of
 small independent systems (a rigid-body step, the truncated-exponential
-inverse) with one residual call per iteration.
+inverse) with one residual call per iteration, and freezes each member as
+it converges, so every member gets the root it gets alone.
 
 :func:`fd_jacobian` builds the Jacobian by central differences.  Dense, it
 costs 2 residual calls per column.  Given a :class:`ColumnGroups` sparsity
@@ -21,10 +22,10 @@ The Armijo line search of :func:`solve` tries the step lengths
 ``t = 1 .. 2^-20`` in at most two stacks: ``t = 1`` down to the length
 accepted at the previous iteration, then, only if none passes, all the
 shorter ones.  A residual function with a ``stacked`` attribute evaluates
-each stack in one call (the optimal-control residual does under the Cayley
-retraction); others are called one trial at a time and only up to the
-accepted one.  Each trial is tested on its own row, so the accepted step is
-that of trying the lengths one at a time, bit for bit.
+each stack in one call (the optimal-control residual does); others are
+called one trial at a time and only up to the accepted one.  Each trial is
+tested on its own row, so the accepted step is that of trying the lengths
+one at a time, bit for bit.
 
 The ``"lu"`` step of :func:`solve` has no condition threshold.  An exactly
 singular Jacobian (the LU factorization fails) or a non-finite step raises
@@ -176,10 +177,13 @@ def newton_stack(residual_fn, x, tol, max_iter):
     ``residual_fn(X)`` on the ``(..., 2d+1, d)`` stack
     ``[x, x + dx_j e_j, x - dx_j e_j]`` with ``dx = 1e-7 max(1, |x|)``; the
     ``(..., 2d+1, d)`` result holds the residuals at ``x`` and the rows of
-    the central-difference Jacobians.  Before each step the whole stack is
-    tested: it has converged when ``max |r| < tol``.  Returns
-    ``(x, iterations)``; ``iterations == max_iter`` exactly when the
-    residual never fell below ``tol``.
+    the central-difference Jacobians.  Before each step every member is
+    tested on its own: it has converged when ``max |r| < tol`` over its
+    ``d`` entries (a NaN never has), and is then frozen, its Jacobian no
+    longer factored and its ``x`` no longer updated.  So where a member's
+    rows depend on that member alone, it gets its lone root bit for bit.
+    Returns ``(x, iterations)``; ``iterations == max_iter`` exactly when
+    some member never converged.
     """
     x = np.array(x, dtype=float)
     d = x.shape[-1]
@@ -188,11 +192,14 @@ def newton_stack(residual_fn, x, tol, max_iter):
         dx = _STACK_FD_STEP * np.maximum(1.0, np.abs(x))
         rows = residual_fn(x[..., None, :] + dx[..., None, :] * signs)
         r = rows[..., 0, :]
-        if np.abs(r).max() < tol:
+        if np.abs(r).max() < tol:  # every member has converged
             return x, it
+        # a stack steps only its members not yet converged (NaN never has)
+        live = ~(np.abs(r).max(axis=-1) < tol) if x.ndim > 1 else ...
+        rows, dx = rows[live], dx[live]
         diff = rows[..., 1 : d + 1, :] - rows[..., d + 1 :, :]
         J = (diff / (2.0 * dx)[..., :, None]).swapaxes(-1, -2)
-        x = x - np.linalg.solve(J, r[..., None])[..., 0]
+        x[live] -= np.linalg.solve(J, rows[..., 0, :, None])[..., 0]
     return x, max_iter
 
 

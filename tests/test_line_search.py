@@ -60,14 +60,20 @@ def reference_solve(residual_fn, x0, cfg):
                        "converged" if converged else "max iterations reached")
 
 
+ROW_FIXTURES = [("se2_vehicle.json", 20), ("se2_vehicle.json", 80),
+                ("ball_plate.json", 12), ("ball_plate.json", 48)]
+
+
 @pytest.mark.parametrize("size", [1, 2, 21])
-@pytest.mark.parametrize(
-    "name,N",
-    [("se2_vehicle.json", 20), ("se2_vehicle.json", 80),
-     ("ball_plate.json", 12), ("ball_plate.json", 48)],
-)
-def test_stacked_residual_rows_equal_single_calls(name, N, size):
-    prob, retr, _ = fixture(name, N)
+@pytest.mark.parametrize("name,N,retraction", [
+    *[pytest.param(name, N, "cayley", id=f"{name}-{N}") for name, N in ROW_FIXTURES],
+    *[pytest.param(name, N, "exp4", id=f"{name}-{N}-exp4") for name, N in ROW_FIXTURES],
+])
+def test_stacked_residual_rows_equal_single_calls(name, N, retraction, size):
+    """Under either retraction every member of a stack gets the rows it
+    gets alone; the truncated exponential's inverse converges each member
+    of its stack on its own."""
+    prob, retr, _ = fixture(name, N, retraction)
     fn = ocp.make_residual_fn(prob, retr)
     x0 = ocp.initial_guess(prob, retr)
     rng = np.random.default_rng(N + size)
@@ -76,14 +82,6 @@ def test_stacked_residual_rows_equal_single_calls(name, N, size):
     assert R.shape == X.shape
     for x, rows in zip(X, R):
         assert np.array_equal(rows, fn(x))
-
-
-@pytest.mark.parametrize("name", ["se2_vehicle.json", "ball_plate.json"])
-def test_a_retraction_with_a_stack_wide_inverse_gets_no_stacked_residual(name):
-    """The truncated exponential's inverse iterates until the whole stack
-    has converged, so its rows are evaluated one point at a time."""
-    prob, retr, _ = fixture(name, 12, "exp4")
-    assert not hasattr(ocp.make_residual_fn(prob, retr), "stacked")
 
 
 @pytest.mark.parametrize(
@@ -108,10 +106,11 @@ def test_solve_equals_the_one_length_at_a_time_search(name, N, tol):
     assert np.array_equal(got.residual, want.residual)
 
 
-def test_cold_vehicle_rung_makes_at_most_two_line_search_calls_per_iteration(monkeypatch):
-    """The grouped Jacobian never calls ``full_residual``, so every call
-    after the first is the line search's."""
-    prob, retr, cfg = fixture("se2_vehicle.json", 20)
+def line_search_calls(monkeypatch, retraction):
+    """The cold vehicle rung solved under ``retraction``, and the number of
+    line-search calls it made.  The grouped Jacobian never calls
+    ``full_residual``, so every call after the first is the line search's."""
+    prob, retr, cfg = fixture("se2_vehicle.json", 20, retraction)
     cfg.tol_residual = 1e-8  # as the refinement ladder solves it
     fn = ocp.make_residual_fn(prob, retr)
     calls = []
@@ -122,9 +121,21 @@ def test_cold_vehicle_rung_makes_at_most_two_line_search_calls_per_iteration(mon
         return full_residual(prob, x, *args)
 
     monkeypatch.setattr(ocp, "full_residual", counting)
-    result = solve(fn, ocp.initial_guess(prob, retr), cfg)
+    return solve(fn, ocp.initial_guess(prob, retr), cfg), len(calls) - 1
+
+
+def test_cold_vehicle_rung_makes_at_most_two_line_search_calls_per_iteration(monkeypatch):
+    result, searches = line_search_calls(monkeypatch, "cayley")
     assert result.converged
-    searches = len(calls) - 1
+    assert searches <= 2 * result.iterations
+    assert searches <= 54
+
+
+def test_cold_vehicle_rung_under_exp4_searches_in_stacks_too(monkeypatch):
+    """The truncated exponential takes the stacked search as well: one trial
+    per call would make 203 calls on this rung."""
+    result, searches = line_search_calls(monkeypatch, "exp4")
+    assert result.converged
     assert searches <= 2 * result.iterations
     assert searches <= 54
 

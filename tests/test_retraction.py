@@ -166,7 +166,7 @@ def test_trunc_exp_inverse_of_a_stack_equals_per_element_calls(tag, order):
     for idx in np.ndindex(2, 5):
         one = retr.tau_inv(g[idx])
         assert one.shape == (3,)
-        assert np.abs(stacked[idx] - one).max() < 1e-12
+        assert np.array_equal(stacked[idx], one)
 
 
 @pytest.mark.parametrize("tag,order", TRUNC_EXP_CASES)

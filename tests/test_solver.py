@@ -361,7 +361,38 @@ def test_newton_stack_equals_solving_each_system_alone():
     for idx in np.ndindex(2, 4):
         alone, it = newton_stack(cubic_system(c[idx]), np.zeros(3), 1e-13, 50)
         assert it <= iters
-        assert np.abs(x[idx] - alone).max() < 1e-12
+        assert np.array_equal(x[idx], alone)
+
+
+def test_a_stack_with_a_nan_member_reports_the_cap():
+    """The NaN member never converges; each finite member is frozen at its
+    own root."""
+    c = np.random.default_rng(5).uniform(-3.0, 3.0, size=(3, 3))
+    c[1, 2] = np.nan
+    x, iters = newton_stack(cubic_system(c), np.zeros((3, 3)), 1e-13, 30)
+    assert iters == 30
+    for i in (0, 2):
+        alone, it = newton_stack(cubic_system(c[i]), np.zeros(3), 1e-13, 30)
+        assert it < 30
+        assert np.array_equal(x[i], alone)
+
+
+def test_a_converged_member_with_a_singular_jacobian_is_not_factored():
+    """Member 0 is solved at the start and its Jacobian is zero there; the
+    stack still returns member 1's own root."""
+    c = np.array([[0.0] * 3, [1.0, -2.0, 0.5]])
+    cubic = cubic_system(c)
+
+    def residual(X):
+        out = cubic(X)
+        out[0] = X[0] ** 2  # a double root at 0: r = 0 and J = 0 there
+        return out
+
+    x, iters = newton_stack(residual, np.zeros((2, 3)), 1e-13, 50)
+    alone, it = newton_stack(cubic_system(c[1]), np.zeros(3), 1e-13, 50)
+    assert iters == it < 50
+    assert np.array_equal(x[0], np.zeros(3))
+    assert np.array_equal(x[1], alone)
 
 
 def test_newton_stack_calls_the_residual_once_per_iteration():
