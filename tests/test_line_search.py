@@ -106,38 +106,28 @@ def test_solve_equals_the_one_length_at_a_time_search(name, N, tol):
     assert np.array_equal(got.residual, want.residual)
 
 
-def line_search_calls(monkeypatch, retraction):
-    """The cold vehicle rung solved under ``retraction``, and the number of
-    line-search calls it made.  The grouped Jacobian never calls
-    ``full_residual``, so every call after the first is the line search's."""
-    prob, retr, cfg = fixture("se2_vehicle.json", 20, retraction)
-    cfg.tol_residual = 1e-8  # as the refinement ladder solves it
-    fn = ocp.make_residual_fn(prob, retr)
-    calls = []
-    full_residual = ocp.full_residual
-
-    def counting(prob, x, *args):
-        calls.append(x.shape)
-        return full_residual(prob, x, *args)
-
-    monkeypatch.setattr(ocp, "full_residual", counting)
-    return solve(fn, ocp.initial_guess(prob, retr), cfg), len(calls) - 1
-
-
 def test_cold_vehicle_rung_makes_at_most_two_line_search_calls_per_iteration(monkeypatch):
-    result, searches = line_search_calls(monkeypatch, "cayley")
-    assert result.converged
-    assert searches <= 2 * result.iterations
-    assert searches <= 54
+    """The grouped Jacobian never calls ``full_residual``, so every call
+    after the first is the line search's.  The truncated exponential takes
+    the stacked search too: one trial per call made 203 calls on this rung."""
+    for retraction in ("cayley", "exp4"):
+        prob, retr, cfg = fixture("se2_vehicle.json", 20, retraction)
+        cfg.tol_residual = 1e-8  # as the refinement ladder solves it
+        fn = ocp.make_residual_fn(prob, retr)
+        calls = []
+        full_residual = ocp.full_residual
 
+        def counting(prob, x, *args):
+            calls.append(x.shape)
+            return full_residual(prob, x, *args)
 
-def test_cold_vehicle_rung_under_exp4_searches_in_stacks_too(monkeypatch):
-    """The truncated exponential takes the stacked search as well: one trial
-    per call would make 203 calls on this rung."""
-    result, searches = line_search_calls(monkeypatch, "exp4")
-    assert result.converged
-    assert searches <= 2 * result.iterations
-    assert searches <= 54
+        with monkeypatch.context() as patch:
+            patch.setattr(ocp, "full_residual", counting)
+            result = solve(fn, ocp.initial_guess(prob, retr), cfg)
+        assert result.converged, retraction
+        searches = len(calls) - 1
+        assert searches <= 2 * result.iterations, retraction
+        assert searches <= 54, retraction
 
 
 def blocked_linear(k):
