@@ -18,10 +18,11 @@ trivial bundle M x G:
    unknowns are laid out as ``[q_2..q_{N-2} | xi_1..xi_{N-2} | lambda^0..
    lambda^{N-2}]``.
 5. :func:`make_residual_fn` returns that system as a function carrying
-   the column groups of its three-node stencil incidence, over which
-   :func:`geovar.solver.solve` differences it: the local rows at the
-   perturbations of all groups come from 2 stacked evaluations of the same
-   assembler (:func:`local_residual`), and the 3 closure rows from
+   its Jacobian structure, over which :func:`geovar.solver.solve`
+   differences it.  :func:`jacobian_structure` reads the entries and a
+   closed-form column colouring off the three-node stencil.  The local rows
+   at the perturbations of all colours come from 2 stacked evaluations of
+   the same assembler (:func:`local_residual`), and the 3 closure rows from
    ``6 (N-2)`` closure-only chain steps.
 """
 
@@ -323,7 +324,6 @@ class Layout:
     N: int
     n: int
     m: int
-    d: int = 3
 
     @property
     def q_size(self):
@@ -331,7 +331,7 @@ class Layout:
 
     @property
     def xi_size(self):
-        return (self.N - 2) * self.d
+        return (self.N - 2) * 3
 
     @property
     def lam_size(self):
@@ -360,20 +360,20 @@ class Layout:
 
     @property
     def closure_rows(self):
-        start = (self.N - 3) * (self.n + self.d)
-        return slice(start, start + self.d)
+        start = (self.N - 3) * (self.n + 3)
+        return slice(start, start + 3)
 
     @property
     def constraint_rows(self):
         return slice(self.closure_rows.stop, self.closure_rows.stop + self.lam_size)
 
 
-def unknown_count(N, n, m, d=3):
-    return Layout(N, n, m, d).total
+def unknown_count(N, n, m):
+    return Layout(N, n, m).total
 
 
-def equation_count(N, n, m, d=3):
-    return Layout(N, n, m, d).constraint_rows.stop
+def equation_count(N, n, m):
+    return Layout(N, n, m).constraint_rows.stop
 
 
 def layout(prob):
@@ -526,12 +526,12 @@ def make_residual_fn(prob, retr):
     that vector bit for bit under either retraction.
 
     The function carries its sparsity as ``fn.pattern``, a
-    :class:`solver.ColumnGroups` colored once over
-    :func:`jacobian_incidence`.  Over it :func:`solver.fd_jacobian`
+    :class:`solver.ColumnGroups` of the colours and entries of
+    :func:`jacobian_structure`.  Over it :func:`solver.fd_jacobian`
     reproduces the dense Jacobian bit for bit from 2 stacked
     :func:`local_residual` evaluations, one over the "+" and one over the
-    "-" perturbations of every column group, plus ``6 (N-2)`` closure-only
-    chain steps; ``fn`` itself is not called.
+    "-" perturbations of every colour, plus ``6 (N-2)`` closure-only chain
+    steps; ``fn`` itself is not called.
 
     When the problem declares a ``conserved`` constraint, ``fn.gauge`` holds
     the columns of its multipliers, the known null direction of every
@@ -545,10 +545,8 @@ def make_residual_fn(prob, retr):
     def local_rows(X):
         return local_residual(prob, X, retr, Ld, Phi)
 
-    incidence = jacobian_incidence(prob)
     fn.pattern = solver.ColumnGroups(
-        incidence, solver.greedy_column_groups(incidence),
-        _closure_fill(prob, retr), local_rows,
+        *jacobian_structure(prob), _closure_fill(prob, retr), local_rows
     )
     fn.stacked = fn  # full_residual evaluates a (P, total) stack as well
     fn.gauge = None
@@ -557,14 +555,25 @@ def make_residual_fn(prob, retr):
     return fn
 
 
-def jacobian_incidence(prob):
-    """Boolean (equations, unknowns) map of the residual entries an unknown
-    can move, closure rows excluded.
+def jacobian_structure(prob):
+    """``(colour, rows, cols)``: a colour per unknown and the ``(row, col)``
+    residual entries an unknown can move, closure rows excluded, each entry
+    once and sorted by row.
 
     Window ``w`` holds q nodes ``w..w+2``, xi nodes ``w, w+1`` and
     ``lambda^w``.  The stationarity rows of node ``i`` see windows
     ``i-2..i``; constraint row ``w`` sees the q and xi of window ``w``.  The
     3 closure rows see every xi and are differenced separately.
+
+    The colouring is closed-form.  A q column of node ``a`` reaches the
+    stationarity rows of nodes ``a-2..a+2``, a xi column of node ``a`` those
+    of ``a-1..a+2``, and a multiplier column of window ``w`` those of
+    ``w..w+2``; the constraint rows a column reaches lie in the windows
+    behind these spans.  So two q, xi or multiplier columns share no row
+    once their nodes differ by at least 5, 4 or 3, and the colour of a
+    column is its block's offset plus ``(node mod period) * width +
+    component``, with periods 5/4/3 and widths ``n``/3/``m``.  Colours no
+    column takes (where the periods exceed the node counts) are dropped.
     """
     lay = layout(prob)
     N, n, m = prob.N, prob.n, prob.m
@@ -577,17 +586,29 @@ def jacobian_incidence(prob):
     stat_row = np.full((N + 1, n + 3), -1)
     stat_row[2 : N - 1, :n] = np.arange(lay.q_size).reshape(N - 3, n)
     stat_row[2 : N - 1, n:] = lay.q_size + np.arange((N - 3) * 3).reshape(N - 3, 3)
-    phi_row0 = lay.constraint_rows.start
-    P = np.zeros((equation_count(N, n, m), lay.total), dtype=bool)
-    for w in range(N - 1):
-        stat = stat_row[w : w + 3].ravel()
-        stat = stat[stat >= 0]
-        qxi = np.concatenate([q_col[w : w + 3].ravel(), xi_col[w : w + 2].ravel()])
-        qxi = qxi[qxi >= 0]
-        con = phi_row0 + w * m + np.arange(m)
-        P[np.ix_(np.concatenate([stat, con]), qxi)] = True
-        P[np.ix_(stat, lam_col[w])] = True
-    return P
+    con_row = lay.constraint_rows.start + np.arange(lay.lam_size).reshape(N - 1, m)
+    # per window: its stationarity rows, its q and xi columns
+    w = np.arange(N - 1)[:, None]
+    stat = stat_row[w + np.arange(3)].reshape(N - 1, -1)
+    qxi = np.concatenate([q_col[w + np.arange(3)].reshape(N - 1, -1),
+                          xi_col[w + np.arange(2)].reshape(N - 1, -1)], axis=1)
+    keys = []
+    for r, c in ((np.concatenate([stat, con_row], axis=1), qxi), (stat, lam_col)):
+        r, c = np.broadcast_arrays(r[:, :, None], c[:, None, :])
+        real = (r >= 0) & (c >= 0)
+        keys.append(r[real] * lay.total + c[real])
+    # a node's rows meet a column in up to 3 windows; sort, then keep each
+    # entry once (np.unique hashes, which is several times slower here)
+    keys = np.sort(np.concatenate(keys))
+    rows, cols = np.divmod(keys[np.r_[True, keys[1:] != keys[:-1]]], lay.total)
+
+    colour = np.empty(lay.total, dtype=int)
+    offset = 0
+    for col, period in ((q_col, 5), (xi_col, 4), (lam_col, 3)):
+        node, comp = np.nonzero(col >= 0)
+        colour[col[node, comp]] = offset + (node % period) * col.shape[1] + comp
+        offset += period * col.shape[1]
+    return np.unique(colour, return_inverse=True)[1], rows, cols
 
 
 def _closure_fill(prob, retr):

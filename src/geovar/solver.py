@@ -7,11 +7,13 @@ inverse) with one residual call per iteration, and freezes each member as
 it converges, so every member gets the root it gets alone.
 
 :func:`fd_jacobian` builds the Jacobian by central differences.  Dense, it
-costs 2 residual calls per column.  Given a :class:`ColumnGroups` sparsity
-it perturbs whole groups of structurally orthogonal columns at once
-(Curtis, Powell & Reid 1974) and returns the same matrix bit for bit.  The
-"+" and the "-" perturbations of all groups are evaluated as two stacks; a
-pattern with a stacked evaluator answers each stack in one call.
+costs 2 residual calls per column.  Given a :class:`ColumnGroups` sparsity,
+a colour per column and the list of entries, it perturbs each colour's
+structurally orthogonal columns at once (Curtis, Powell & Reid 1974) and
+returns the same matrix bit for bit.  The pattern brings its colouring;
+this module colours nothing.  The "+" and the "-" perturbations of all
+colours are evaluated as two stacks; a pattern with a stacked evaluator
+answers each stack in one call.
 :func:`solve` differences a residual function over the pattern it carries
 as its ``pattern`` attribute, and densely when it carries none.  The
 optimal-control residual (:func:`geovar.ocp.make_residual_fn`) carries one,
@@ -70,88 +72,61 @@ _STACK_FD_STEP = 1e-7  # relative central-difference step of newton_stack
 class ColumnGroups:
     """Sparsity that lets :func:`fd_jacobian` perturb several columns at once.
 
-    ``incidence[i, j]`` is True where row ``i`` may depend on column ``j``.
-    The columns of each index array in ``groups`` share no incidence row, so
-    one residual pair differences them all.  Rows with no incidence (rows
-    too dense to group) are written by ``fill(x, steps, J)`` from cheaper
-    evaluations of its own.
+    ``colour[j]`` is the group of column ``j``, and every group from 0 to
+    ``colour.max()`` holds a column.  ``(rows, cols)`` lists, once each, the
+    entries that may be nonzero.  No row holds entries of two columns of one colour,
+    so one residual pair differences a whole group.  Rows with no entries
+    (rows too dense to group) are written by ``fill(x, steps, J)`` from
+    cheaper evaluations of its own.
 
     ``stacked(X)``, when given, returns the residual rows at every row of a
     ``(P, n)`` stack of points as a ``(P, rows)`` array, in place of one
     residual call per point; it may leave the rows ``fill`` writes at zero.
-
-    Construction computes the index arrays :func:`fd_jacobian` reads on
-    every call: ``members``, the (group, column) of every grouped column,
-    and ``entries``, the (row, column, group) of every incidence entry of a
-    grouped column.
     """
 
-    incidence: np.ndarray
-    groups: List[np.ndarray]
+    colour: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
     fill: Optional[Callable] = None
     stacked: Optional[Callable] = None
-    members: tuple = field(init=False, repr=False)
-    entries: tuple = field(init=False, repr=False)
-
-    def __post_init__(self):
-        point = np.repeat(np.arange(len(self.groups)), [c.size for c in self.groups])
-        cols = np.concatenate(self.groups)
-        rows, k = np.nonzero(self.incidence[:, cols])
-        self.members = (point, cols)
-        self.entries = (rows, cols[k], point[k])
-
-
-def greedy_column_groups(incidence):
-    """Greedy coloring of the column-intersection graph (Coleman & More 1983).
-
-    Columns are visited in order; each takes the lowest group that holds no
-    column sharing one of its incidence rows.
-    """
-    color = np.full(incidence.shape[1], -1)
-    for j in range(color.size):
-        clash = incidence[incidence[:, j]].any(axis=0)
-        taken = set(color[clash].tolist())
-        color[j] = next(c for c in range(color.size) if c not in taken)
-    return [np.flatnonzero(color == c) for c in range(color.max() + 1)]
 
 
 def fd_jacobian(residual_fn, x, step=FD_STEP, pattern=None):
     """Central-difference Jacobian; column j uses ``step * max(1, |x_j|)``.
 
-    Without a ``pattern`` every column is its own group.  With a
-    :class:`ColumnGroups` pattern each group costs 2 residual evaluations
-    and each column's difference is written into its incidence rows only,
-    so the result equals the dense one exactly when the incidence is
-    complete.  The write touches the pattern's ``entries`` alone, so it is
-    linear in the incidence nonzeros.  The points of all groups are
-    evaluated as two stacks, "+" and "-": by ``pattern.stacked`` in one
-    call each, or else by ``residual_fn`` point by point.
+    Without a ``pattern`` every column is its own group and every entry is
+    written: ``2 n`` residual calls for ``n`` unknowns.  With a
+    :class:`ColumnGroups` pattern each colour costs 2 residual evaluations
+    and each column's difference is written into its entries only, so the
+    result equals the dense one exactly when the entries are complete.  The
+    write touches the pattern's entries alone, so it is linear in their
+    number.  The points of all colours are evaluated as two stacks, "+" and
+    "-": by ``pattern.stacked`` in one call each, or else by
+    ``residual_fn`` point by point.
     """
     x = np.asarray(x, dtype=float)
-    if pattern is None:
-        rows = np.asarray(residual_fn(x)).size
-        pattern = ColumnGroups(
-            np.ones((rows, x.size), dtype=bool),
-            [np.array([j]) for j in range(x.size)],
-        )
-    stacked = pattern.stacked
+    colour = np.arange(x.size) if pattern is None else pattern.colour
+    stacked = None if pattern is None else pattern.stacked
     if stacked is None:
         def stacked(X):
             return np.stack([np.asarray(residual_fn(p)) for p in X])
 
     steps = step * np.maximum(1.0, np.abs(x))
-    # point g of each stack moves the columns of group g
-    point, cols = pattern.members
-    xp = np.tile(x, (len(pattern.groups), 1))
+    # point g of each stack moves the columns of colour g
+    every = np.arange(x.size)
+    xp = np.tile(x, (colour.max() + 1, 1))
     xm = xp.copy()
-    xp[point, cols] += steps[cols]
-    xm[point, cols] -= steps[cols]
+    xp[colour, every] += steps
+    xm[colour, every] -= steps
     diff = stacked(xp) - stacked(xm)
-    J = np.zeros((pattern.incidence.shape[0], x.size))
-    rows, cols, group = pattern.entries
-    J[rows, cols] = diff[group, rows] / (2.0 * steps[cols])
-    if pattern.fill is not None:
-        pattern.fill(x, steps, J)
+    if pattern is None:
+        J = diff.T / (2.0 * steps)
+    else:
+        J = np.zeros((diff.shape[1], x.size))
+        rows, cols = pattern.rows, pattern.cols
+        J[rows, cols] = diff[colour[cols], rows] / (2.0 * steps[cols])
+        if pattern.fill is not None:
+            pattern.fill(x, steps, J)
     if not np.all(np.isfinite(J)):
         bad = np.argwhere(~np.isfinite(J))[0]
         raise DomainError(f"non-finite Jacobian entry at {tuple(bad)}")

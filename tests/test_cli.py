@@ -501,14 +501,14 @@ def test_oracle_negative_control_flags_the_flipped_block(capsys, tmp_path,
 def test_oracle_flags_a_grouped_jacobian_that_misses_an_entry(
     capsys, tmp_path, monkeypatch
 ):
-    full = ocp.jacobian_incidence
+    full = ocp.jacobian_structure
 
     def missing_row(prob):
-        incidence = full(prob)
-        incidence[0] = False
-        return incidence
+        colour, rows, cols = full(prob)
+        kept = rows != 0
+        return colour, rows[kept], cols[kept]
 
-    monkeypatch.setattr(ocp, "jacobian_incidence", missing_row)
+    monkeypatch.setattr(ocp, "jacobian_structure", missing_row)
     code = cli.main(["oracle", SE2_CONFIG, "--seed", "42", "--out-dir", str(tmp_path)])
     assert code == 2
     out = capsys.readouterr().out

@@ -153,9 +153,8 @@ def test_a_plain_residual_is_called_as_often_as_one_length_at_a_time(k):
     assert got.message == want.message
     assert np.array_equal(got.x, want.x)
     if k <= 20:
-        # the first call; the dense Jacobian's row count and its 2 points;
-        # then k + 1 trials
-        assert got_fn.calls == 4 + k + 1
+        # the first call; the dense Jacobian's 2 points; then k + 1 trials
+        assert got_fn.calls == 3 + k + 1
 
 
 @pytest.mark.parametrize("x0", [5.0, -20.0])
@@ -210,9 +209,9 @@ def test_a_stack_that_raises_only_on_its_shortest_trial_still_accepts_the_longer
     result = solve(fn, np.zeros(1), SolverConfig(max_iters=1))
     assert result.message == "max iterations reached"
     assert fn.stacks == [1, 20]  # t = 1 alone, then t = 2^-1 .. 2^-20
-    # the first call; the dense Jacobian's row count and its 2 points; then
-    # the stack again point by point, stopping at its first trial t = 1/2
-    assert len(fn.points) == 5
+    # the first call; the dense Jacobian's 2 points; then the stack again
+    # point by point, stopping at its first trial t = 1/2
+    assert len(fn.points) == 4
     assert fn.points[-1] == pytest.approx(0.5)
     assert result.x == pytest.approx([0.5])
 

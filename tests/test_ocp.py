@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geovar import cli, discrete, groups, models, ocp, solver
@@ -28,7 +28,7 @@ from geovar.ocp import (
     unknown_count,
 )
 from geovar.retraction import CayleyRetraction, make_retraction
-from geovar.solver import SolverConfig, fd_jacobian, greedy_column_groups, solve
+from geovar.solver import SolverConfig, fd_jacobian, solve
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -423,13 +423,15 @@ def fixture_problem(name, N, retraction="cayley"):
 @pytest.mark.parametrize("retraction", ["cayley", "exp4"])
 @pytest.mark.parametrize(
     "name,N",
-    [("se2_vehicle.json", 10), ("se2_vehicle.json", 20),
+    [("se2_vehicle.json", 6), ("se2_vehicle.json", 7), ("se2_vehicle.json", 10),
+     ("se2_vehicle.json", 20), ("ball_plate.json", 6), ("ball_plate.json", 7),
      ("ball_plate.json", 8), ("ball_plate.json", 16)],
 )
 def test_grouped_jacobian_equals_dense_bit_for_bit(name, N, retraction):
     """Vehicle (left trivialization) and ball (right): the grouped Jacobian is
     the dense one exactly, and every dense nonzero lies in the declared
-    incidence or the closure block."""
+    entries or the closure block.  At N = 6 and 7 the colour periods exceed
+    the node counts."""
     prob, retr = fixture_problem(name, N, retraction)
     fn = ocp.make_residual_fn(prob, retr)
     lay = layout(prob)
@@ -437,20 +439,48 @@ def test_grouped_jacobian_equals_dense_bit_for_bit(name, N, retraction):
     x = initial_guess(prob, retr) + 0.02 * rng.normal(size=lay.total)
     J_dense = fd_jacobian(fn, x)
     assert np.array_equal(fd_jacobian(fn, x, pattern=fn.pattern), J_dense)
-    declared = ocp.jacobian_incidence(prob)
-    closure_row = (prob.N - 3) * (prob.n + 3)
-    declared[closure_row : closure_row + 3, lay.xi_slice] = True
-    assert not np.any((J_dense != 0) & ~declared)
+    _, rows, cols = ocp.jacobian_structure(prob)
+    undeclared = J_dense.copy()
+    undeclared[rows, cols] = 0.0
+    undeclared[lay.closure_rows, lay.xi_slice] = 0.0
+    assert not np.any(undeclared)
+
+
+def colour_count(prob):
+    return int(ocp.jacobian_structure(prob)[0].max()) + 1
 
 
 @pytest.mark.parametrize("name", ["se2_vehicle.json", "ball_plate.json"])
 def test_column_group_count_does_not_grow_with_N(name):
-    counts = [
-        len(greedy_column_groups(ocp.jacobian_incidence(fixture_problem(name, N)[0])))
-        for N in (20, 80)
-    ]
+    counts = [colour_count(fixture_problem(name, N)[0]) for N in (20, 80)]
     assert counts[0] == counts[1]
     assert counts[0] < layout(fixture_problem(name, 20)[0]).total / 2
+
+
+def greedy_colour_count(name, N):
+    """The colour count of the greedy colouring the closed form replaced."""
+    counts = {"se2_vehicle.json": (21, 22, 23), "ball_plate.json": (27, 29, 31)}
+    return counts[name][min(N, 8) - 6]
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(["se2_vehicle.json", "ball_plate.json"]),
+       N=st.integers(6, 300))
+@example(name="se2_vehicle.json", N=6)
+@example(name="se2_vehicle.json", N=7)
+@example(name="ball_plate.json", N=6)
+@example(name="ball_plate.json", N=7)
+def test_stencil_colouring_is_valid_and_complete(name, N):
+    """No entry row holds two columns of one colour, every colour is used,
+    and the count is the greedy colouring's: (n, m) = (1, 2) and (2, 3)."""
+    prob = fixture_problem(name, N)[0]
+    colour, rows, cols = ocp.jacobian_structure(prob)
+    assert colour.shape == (layout(prob).total,)
+    count = int(colour.max()) + 1
+    row_colour = rows * count + colour[cols]
+    assert np.unique(row_colour).size == row_colour.size
+    assert np.array_equal(np.unique(colour), np.arange(count))
+    assert count == greedy_colour_count(name, N)
 
 
 def fast_plate_ball(N, h, trivialization):
@@ -521,7 +551,7 @@ def test_one_jacobian_is_two_stacked_evaluations(monkeypatch, N):
     monkeypatch.setattr(solver, "fd_jacobian", counting)
     monkeypatch.setattr(discrete, "dlp_k_residual", counting_assembly)
     solve(fn, initial_guess(prob, retr), SolverConfig(max_iters=1))
-    groups_count = len(greedy_column_groups(ocp.jacobian_incidence(prob)))
+    groups_count = colour_count(prob)
     assert fn_calls == []
     assert stacks == [(groups_count, layout(prob).total)] * 2
     assert assemblies == [(groups_count, N + 1, prob.n)] * 2

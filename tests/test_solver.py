@@ -15,7 +15,6 @@ from geovar.solver import (
     SolveResult,
     SolverConfig,
     fd_jacobian,
-    greedy_column_groups,
     newton_stack,
     solve,
 )
@@ -57,6 +56,21 @@ def test_fd_jacobian_exact_on_linear_residual():
     assert np.abs(J - A).max() < 1e-10
 
 
+def band_pattern(n, b, mask=None, stacked=None):
+    """The entries of ``mask`` (default: all) within bandwidth ``b`` of an
+    ``(n, n)`` Jacobian, columns coloured ``j mod (2b + 1)``."""
+    band = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= b
+    if mask is not None:
+        band &= mask
+    return ColumnGroups(np.arange(n) % (2 * b + 1), *np.nonzero(band), stacked=stacked)
+
+
+def colouring_is_valid(pattern):
+    """No entry row holds two columns of one colour."""
+    row_colour = pattern.rows * (pattern.colour.max() + 1) + pattern.colour[pattern.cols]
+    return np.unique(row_colour).size == row_colour.size
+
+
 def test_grouped_fd_jacobian_matches_dense_on_a_banded_residual():
     """Columns of a tridiagonal residual fall into 3 groups; grouped
     differences reproduce the dense Jacobian exactly."""
@@ -68,10 +82,9 @@ def test_grouped_fd_jacobian_matches_dense_on_a_banded_residual():
         return r
 
     x = np.random.default_rng(5).normal(size=12)
-    band = np.abs(np.subtract.outer(np.arange(12), np.arange(12))) <= 1
-    groups = greedy_column_groups(band)
-    assert len(groups) == 3
-    J = fd_jacobian(residual, x, pattern=ColumnGroups(band, groups))
+    pattern = band_pattern(12, 1)
+    assert colouring_is_valid(pattern)
+    J = fd_jacobian(residual, x, pattern=pattern)
     assert np.array_equal(J, fd_jacobian(residual, x))
 
 
@@ -85,18 +98,17 @@ def test_stacked_evaluator_answers_each_stack_in_one_call():
         return r
 
     x = np.random.default_rng(6).normal(size=9)
-    band = np.tril(np.triu(np.ones((9, 9), dtype=bool)), 1).T
-    groups = greedy_column_groups(band)
+    lower = np.tril(np.ones((9, 9), dtype=bool))
     stacks = []
 
     def stacked(X):
         stacks.append(X.copy())
         return np.stack([residual(p) for p in X])
 
-    J = fd_jacobian(residual, x, pattern=ColumnGroups(band, groups, stacked=stacked))
-    assert np.array_equal(J, fd_jacobian(residual, x, pattern=ColumnGroups(band, groups)))
+    J = fd_jacobian(residual, x, pattern=band_pattern(9, 1, lower, stacked))
+    assert np.array_equal(J, fd_jacobian(residual, x, pattern=band_pattern(9, 1, lower)))
     assert np.array_equal(J, fd_jacobian(residual, x))
-    assert [X.shape for X in stacks] == [(len(groups), 9)] * 2
+    assert [X.shape for X in stacks] == [(3, 9)] * 2
     assert np.all(stacks[0] >= x) and np.all(stacks[1] <= x)
 
 
@@ -165,20 +177,21 @@ def test_non_finite_lu_step_reports_iteration(monkeypatch):
 
 def column_write_jacobian(residual_fn, x, pattern):
     """:func:`fd_jacobian` written group by group over whole columns, each
-    column masked by its incidence: the reference for the entry write."""
+    column masked by its entries: the reference for the entry write."""
     steps = FD_STEP * np.maximum(1.0, np.abs(x))
-    xp = np.tile(x, (len(pattern.groups), 1))
+    groups = [np.flatnonzero(pattern.colour == g) for g in range(pattern.colour.max() + 1)]
+    xp = np.tile(x, (len(groups), 1))
     xm = xp.copy()
-    for g, cols in enumerate(pattern.groups):
+    for g, cols in enumerate(groups):
         xp[g, cols] += steps[cols]
         xm[g, cols] -= steps[cols]
     stacked = pattern.stacked or (lambda X: np.stack([residual_fn(p) for p in X]))
     diff = stacked(xp) - stacked(xm)
-    J = np.zeros((pattern.incidence.shape[0], x.size))
-    for g, cols in enumerate(pattern.groups):
-        J[:, cols] = np.where(
-            pattern.incidence[:, cols], diff[g][:, None] / (2.0 * steps[cols]), 0.0
-        )
+    entries = np.zeros((diff.shape[1], x.size), dtype=bool)
+    entries[pattern.rows, pattern.cols] = True
+    J = np.zeros(entries.shape)
+    for g, cols in enumerate(groups):
+        J[:, cols] = np.where(entries[:, cols], diff[g][:, None] / (2.0 * steps[cols]), 0.0)
     if pattern.fill is not None:
         pattern.fill(x, steps, J)
     return J
@@ -186,23 +199,39 @@ def column_write_jacobian(residual_fn, x, pattern):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_entry_write_equals_column_write_on_a_random_pattern(seed):
-    """A random sparse residual: the Jacobian over its column groups equals
-    the column-by-column write and the dense (``pattern=None``) one."""
+    """A random sparse residual within a band: the Jacobian over its column
+    groups equals the column-by-column write and the dense
+    (``pattern=None``) one."""
     rng = np.random.default_rng(seed)
     n = 9
-    incidence = (rng.random((n, n)) < 0.3) | np.eye(n, dtype=bool)
-    A = np.where(incidence, rng.normal(size=(n, n)), 0.0)
+    pattern = band_pattern(n, 2, (rng.random((n, n)) < 0.5) | np.eye(n, dtype=bool))
+    assert colouring_is_valid(pattern)
+    A = np.zeros((n, n))
+    A[pattern.rows, pattern.cols] = rng.normal(size=pattern.rows.size)
 
     def residual(x):
         return A @ np.sin(x) + 0.1 * (A != 0) @ x**3
 
     x = rng.normal(size=n)
-    pattern = ColumnGroups(incidence, greedy_column_groups(incidence))
     J = fd_jacobian(residual, x, pattern=pattern)
     assert np.array_equal(J, column_write_jacobian(residual, x, pattern))
     assert np.array_equal(J, fd_jacobian(residual, x))
-    dense = ColumnGroups(np.ones((n, n), dtype=bool), [np.array([j]) for j in range(n)])
+    dense = ColumnGroups(np.arange(n), *np.nonzero(np.ones((n, n), dtype=bool)))
     assert np.array_equal(fd_jacobian(residual, x), column_write_jacobian(residual, x, dense))
+
+
+def test_dense_fd_jacobian_makes_two_residual_calls_per_column():
+    """Without a pattern, n = 5 unknowns cost exactly 10 residual calls:
+    none is spent on counting the rows."""
+    calls = []
+
+    def residual(x):
+        calls.append(x.copy())
+        return np.array([x[0] * x[1], np.sin(x[2]), x[3] + x[4] ** 2])
+
+    J = fd_jacobian(residual, np.arange(5.0))
+    assert len(calls) == 10
+    assert J.shape == (3, 5)
 
 
 @pytest.mark.parametrize("retraction", ["cayley", "exp4"])
