@@ -262,12 +262,17 @@ def _fmt(x):
     return "%.17g" % float(x)
 
 
+_CHUNK_ROWS = 256  # trajectory rows formatted and written per batch
+
+
 def write_trajectory(path, t_nodes, q_nodes, xi_nodes, lam_nodes, g_nodes):
     """CSV with one row per node; see README for the column layout.
 
     q/g columns are filled at every node; xi at nodes 0..N-1; the window
     multipliers on their center node (rows 1..N-1).  Cells outside a
-    series' range are empty.
+    series' range are empty.  Each cell is ``"%.17g"`` of its float.  Rows
+    that fill the same cells share one row format, applied with one ``%``
+    per row; rows are formatted and written a bounded chunk at a time.
     """
     N = len(t_nodes) - 1
     n = 0 if q_nodes is None else q_nodes.shape[1]
@@ -277,23 +282,23 @@ def write_trajectory(path, t_nodes, q_nodes, xi_nodes, lam_nodes, g_nodes):
     header += [f"xi{c + 1}" for c in range(3)]
     header += [f"lam{c + 1}" for c in range(m)]
     header += [f"g{i + 1}{j + 1}" for i in range(3) for j in range(3)]
-    lines = [",".join(header)]
-    for i in range(N + 1):
-        row = [_fmt(t_nodes[i])]
-        for c in range(n):
-            row.append(_fmt(q_nodes[i, c]))
-        if i < N:
-            row += [_fmt(v) for v in xi_nodes[i]]
-        else:
-            row += [""] * 3
-        if m:
-            if 1 <= i <= N - 1:
-                row += [_fmt(v) for v in lam_nodes[i - 1]]
-            else:
-                row += [""] * m
-        row += [_fmt(v) for v in g_nodes[i].ravel()]
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as out:
+        out.write(",".join(header) + "\n")
+        # rows 0, 1..N-1 and N each fill the same cells
+        bounds = sorted({0, min(1, N), N, N + 1})
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            has_xi, has_lam = lo < N, m > 0 and 1 <= lo <= N - 1
+            fmt = ",".join(["%.17g"] * (1 + n) + ["%.17g" if has_xi else ""] * 3
+                           + ["%.17g" if has_lam else ""] * m + ["%.17g"] * 9)
+            for a in range(lo, hi, _CHUNK_ROWS):
+                b = min(a + _CHUNK_ROWS, hi)
+                cells = [t_nodes[a:b, None]]
+                cells += [q_nodes[a:b]] if n else []
+                cells += [xi_nodes[a:b]] if has_xi else []
+                cells += [lam_nodes[a - 1 : b - 1]] if has_lam else []
+                cells.append(g_nodes[a:b].reshape(b - a, 9))
+                rows = np.hstack(cells).tolist()
+                out.write("".join([fmt % tuple(row) + "\n" for row in rows]))
 
 
 def _finite_or_null(value):

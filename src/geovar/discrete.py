@@ -26,9 +26,10 @@ callbacks that evaluate each window on its own give every path of the
 stack the residual it has alone.
 
 :func:`dep_step` advances the left-trivialized discrete Euler-Poincare flow
-by one node; its 3-dim root find is :func:`geovar.solver.newton_stack`.
-:func:`dep_solve_path` starts each root find from an extrapolation of the
-last three nodes.
+by one node; its 3-dim root find iterates the stack and the step of
+:func:`geovar.solver.newton_stack`.  :func:`dep_solve_path` starts each
+root find from an extrapolation of the last three nodes, and carries the
+pulled-back momenta each step evaluates into the next.
 :func:`spatial_momentum` is the flow's conserved momentum in closed form;
 the central-difference pairing :func:`discrete_momentum` is its
 independent reference.
@@ -36,6 +37,7 @@ independent reference.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -413,31 +415,67 @@ def spatial_momentum(lhat_grad, xi_nodes, g_nodes, h, retr):
 
 
 def dep_step(lhat_grad, xi_prev, h, retr, tol=1e-13, max_iter=DEP_MAX_ITER,
-             guess=None):
+             guess=None, carry=None, ahead=None):
     """Advance one step of the left-trivialized discrete Euler-Poincare
     equations.
 
     Solves the transported momentum balance (the single row of
     :func:`dep_residual` on ``(xi_prev, xi_next)``) for the next algebra node
-    with :func:`geovar.solver.newton_stack`, starting from ``guess``
-    (``xi_prev`` when None).  The seed changes only where Newton starts:
-    the residual, and so the root it converges to, depend on ``xi_prev``
-    alone.  The previous node's transported term is fixed during the step
-    and computed once.  The unknown enters only through its pulled-back
-    momentum, so a Newton residual makes no ``tau`` call.
-    Returns ``(xi_next, iterations)``; the iteration count equals
-    ``max_iter`` exactly when the residual never fell below ``tol``.
+    by the Newton iteration of :func:`geovar.solver.newton_stack`, starting
+    from ``guess`` (``xi_prev`` when None).  The seed changes only where
+    Newton starts: the residual, and so the root it converges to, depend on
+    ``xi_prev`` alone.  The previous node's transported term is fixed during
+    the step.  The unknown enters only through its pulled-back momentum
+    ``mu(xi) = (dtau^-1_{h xi})* lhat_grad(xi)``, so a Newton residual makes
+    no ``tau`` call.  Returns ``(xi_next, iterations)``; the iteration count
+    equals ``max_iter`` exactly when the residual never fell below ``tol``.
+
+    ``carry`` is a dict that a flow hands from step to step.  It holds the
+    last momenta a step evaluated: ``mu`` at its last Newton point
+    (``"node"``), and on the stack the next step starts from (``"start"``).
+    A step reads a carried row only where it was evaluated at the same bits
+    as the point the step needs.  So after a capped step, whose returned
+    node was never evaluated, the next step evaluates afresh.  ``ahead(x)``
+    is the next step's start should this step's root be ``x``; each
+    evaluation also evaluates that start's stack, in the same call.
+    Without ``ahead`` the next step starts from the root.  Carried or not,
+    a step returns what it returns alone, bit for bit.
     """
+    carry = {} if carry is None else carry
+
+    def pull_back(xs):
+        """``mu`` at each row of ``xs`` of shape (B, d)."""
+        return retr.dtau_inv_star(h * xs, lhat_grad(xs))
+
     prev = xi_prev[None]
-    hprev = h * prev
-    fixed = _transport(retr.dtau_inv_star(hprev, lhat_grad(prev)), hprev, retr)
-
-    def res(xs):
-        """Residual rows at the stacked candidates ``xs`` of shape (B, d)."""
-        return (fixed - retr.dtau_inv_star(h * xs, lhat_grad(xs))) / h
-
-    start = xi_prev if guess is None else guess
-    return solver.newton_stack(res, start, tol, max_iter)
+    held = carry.get("node")
+    if held is not None and held[0] == prev.tobytes():
+        mu_prev = held[1]
+    else:
+        mu_prev = pull_back(prev)
+    fixed = _transport(mu_prev, h * prev, retr)
+    x = np.array(xi_prev if guess is None else guess, dtype=float)
+    for it in range(max_iter):
+        held = carry.get("start")
+        if held is not None and held[0] == x.tobytes():
+            _, dx, mu = held
+        else:
+            points, dx = solver.stack_points(x)
+            if ahead is None:
+                seed, dx_next = x, dx
+                mu = mu_next = pull_back(points)
+            else:
+                seed = ahead(x)
+                nxt, dx_next = solver.stack_points(seed)
+                both = pull_back(np.concatenate([points, nxt]))
+                mu, mu_next = both[: len(points)], both[len(points) :]
+            carry["start"] = (seed.tobytes(), dx_next, mu_next)
+        carry["node"] = (x.tobytes(), mu[:1])
+        rows = (fixed - mu) / h
+        if np.abs(rows[0]).max() < tol:
+            return x, it
+        x -= solver.stack_step(rows, dx)
+    return x, max_iter
 
 
 def dep_solve_path(lhat_grad, xi0, N, h, retr, return_iterations=False):
@@ -450,19 +488,35 @@ def dep_solve_path(lhat_grad, xi0, N, h, retr, return_iterations=False):
     smooth flow the seed is ``O(h^3)`` from the root where ``xi_{k-1}`` is
     ``O(h)``, so a step takes one Newton iteration where it took two.  Every
     step still solves to the same tolerance.
+
+    The steps share one :func:`dep_step` carry, and each step evaluates the
+    next step's seed as it goes: the pulled-back momentum of a converged
+    node is not evaluated again, nor the first Newton stack of the next
+    step.  A steady step, one Newton iteration, costs one transport, one
+    stacked evaluation and one 3x3 solve, and the nodes are those of
+    :func:`dep_step` calls without the carry, bit for bit.
     """
     out = np.empty((N, xi0.shape[0]))
     out[0] = xi0
     iters = []
+    carry = {}
     for kk in range(1, N):
-        guess = None
+        guess = ahead = None
         if kk >= 3:
-            guess = 3.0 * (out[kk - 1] - out[kk - 2]) + out[kk - 3]
-        out[kk], it = dep_step(lhat_grad, out[kk - 1], h, retr, guess=guess)
+            guess = _extrapolate(out[kk - 1], out[kk - 2], out[kk - 3])
+        if 2 <= kk < N - 1:  # step kk + 1 starts from an extrapolation
+            ahead = functools.partial(_extrapolate, last=out[kk - 1], older=out[kk - 2])
+        out[kk], it = dep_step(lhat_grad, out[kk - 1], h, retr, guess=guess,
+                               carry=carry, ahead=ahead)
         iters.append(it)
     if return_iterations:
         return out, iters
     return out
+
+
+def _extrapolate(x, last, older):
+    """The seed ``3 (x - last) + older`` of the step after node ``x``."""
+    return 3.0 * (x - last) + older
 
 
 def capped_steps(iters):

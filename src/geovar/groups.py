@@ -44,6 +44,14 @@ def check_tag(tag):
         raise TagMismatchError(f"unknown group tag {tag!r}")
 
 
+# hat(v) gathered from (v1, v2, v3, -v1, -v2, -v3, 0): each entry is the
+# index of its source.  ``take`` returns a new C-ordered array.
+_HAT_ENTRIES = {
+    SO3: np.array([[6, 5, 1], [2, 6, 3], [4, 0, 6]]),
+    SE2: np.array([[6, 3, 1], [0, 6, 2], [6, 6, 6]]),
+}
+
+
 def hat(v, tag):
     """Map algebra coordinates to matrix form.
 
@@ -60,20 +68,8 @@ def hat(v, tag):
     v = np.asarray(v, dtype=float)
     if v.shape[-1] != 3:
         raise AlgebraShapeError(f"expected trailing dimension 3, got {v.shape}")
-    X = np.zeros(v.shape[:-1] + (3, 3))
-    if tag == SO3:
-        X[..., 0, 1] = -v[..., 2]
-        X[..., 0, 2] = v[..., 1]
-        X[..., 1, 0] = v[..., 2]
-        X[..., 1, 2] = -v[..., 0]
-        X[..., 2, 0] = -v[..., 1]
-        X[..., 2, 1] = v[..., 0]
-    else:
-        X[..., 0, 1] = -v[..., 0]
-        X[..., 0, 2] = v[..., 1]
-        X[..., 1, 0] = v[..., 0]
-        X[..., 1, 2] = v[..., 2]
-    return X
+    src = np.concatenate([v, -v, np.zeros(v.shape[:-1] + (1,))], axis=-1)
+    return src.take(_HAT_ENTRIES[tag], axis=-1)
 
 
 def vee(X, tag, tol=_ORTHO_TOL):

@@ -2,9 +2,12 @@
 
 :func:`solve` is the damped Newton iteration for the large square systems
 of the optimal-control problems.  :func:`newton_stack` solves a stack of
-small independent systems (a rigid-body step, the truncated-exponential
-inverse) with one residual call per iteration, and freezes each member as
-it converges, so every member gets the root it gets alone.
+small independent systems (the truncated-exponential inverse) with one
+residual call per iteration, and freezes each member as it converges, so
+every member gets the root it gets alone.  Its stack of points
+(:func:`stack_points`) and its step (:func:`stack_step`) are public for
+loops that evaluate their residual themselves, as the rigid-body step of
+:func:`geovar.discrete.dep_step` does.
 
 :func:`fd_jacobian` builds the Jacobian by central differences.  Dense, it
 costs 2 residual calls per column.  Given a :class:`ColumnGroups` sparsity,
@@ -145,12 +148,32 @@ def _stack_signs(d):
     return signs
 
 
+def stack_points(x):
+    """The points :func:`newton_stack` evaluates at ``x`` of shape
+    ``(..., d)``: returns the ``(..., 2d+1, d)`` stack
+    ``[x, x + dx_j e_j, x - dx_j e_j]`` and ``dx = 1e-7 max(1, |x|)``.
+    Row 0 is ``x`` bit for bit."""
+    dx = _STACK_FD_STEP * np.maximum(1.0, np.abs(x))
+    return x[..., None, :] + dx[..., None, :] * _stack_signs(x.shape[-1]), dx
+
+
+def stack_step(rows, dx):
+    """The Newton correction ``J^-1 r`` of each member (its ``x`` moves to
+    ``x - J^-1 r``), from its residual rows ``(..., 2d+1, d)`` at the
+    :func:`stack_points` stack and its offsets ``dx``: ``r`` is row 0 and
+    ``J`` the central differences of the other rows."""
+    d = rows.shape[-1]
+    diff = rows[..., 1 : d + 1, :] - rows[..., d + 1 :, :]
+    J = (diff / (2.0 * dx)[..., :, None]).swapaxes(-1, -2)
+    return np.linalg.solve(J, rows[..., 0, :, None])[..., 0]
+
+
 def newton_stack(residual_fn, x, tol, max_iter):
     """Undamped Newton iteration on a stack of small independent systems.
 
     ``x`` has shape ``(..., d)``.  Each iteration makes one call
     ``residual_fn(X)`` on the ``(..., 2d+1, d)`` stack
-    ``[x, x + dx_j e_j, x - dx_j e_j]`` with ``dx = 1e-7 max(1, |x|)``; the
+    ``[x, x + dx_j e_j, x - dx_j e_j]`` of :func:`stack_points`; the
     ``(..., 2d+1, d)`` result holds the residuals at ``x`` and the rows of
     the central-difference Jacobians.  Before each step every member is
     tested on its own: it has converged when ``max |r| < tol`` over its
@@ -161,20 +184,15 @@ def newton_stack(residual_fn, x, tol, max_iter):
     some member never converged.
     """
     x = np.array(x, dtype=float)
-    d = x.shape[-1]
-    signs = _stack_signs(d)
     for it in range(max_iter):
-        dx = _STACK_FD_STEP * np.maximum(1.0, np.abs(x))
-        rows = residual_fn(x[..., None, :] + dx[..., None, :] * signs)
+        points, dx = stack_points(x)
+        rows = residual_fn(points)
         r = rows[..., 0, :]
         if np.abs(r).max() < tol:  # every member has converged
             return x, it
         # a stack steps only its members not yet converged (NaN never has)
         live = ~(np.abs(r).max(axis=-1) < tol) if x.ndim > 1 else ...
-        rows, dx = rows[live], dx[live]
-        diff = rows[..., 1 : d + 1, :] - rows[..., d + 1 :, :]
-        J = (diff / (2.0 * dx)[..., :, None]).swapaxes(-1, -2)
-        x[live] -= np.linalg.solve(J, rows[..., 0, :, None])[..., 0]
+        x[live] -= stack_step(rows[live], dx[live])
     return x, max_iter
 
 

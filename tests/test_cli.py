@@ -391,6 +391,45 @@ def test_overflowing_flow_writes_strict_json(tmp_path):
     assert any(v is None for row in diag["momentum_per_step"] for v in row)
 
 
+def trajectory_by_cells(t_nodes, q_nodes, xi_nodes, lam_nodes, g_nodes):
+    """The trajectory CSV text built one cell at a time."""
+    N = len(t_nodes) - 1
+    n = 0 if q_nodes is None else q_nodes.shape[1]
+    m = 0 if lam_nodes is None else lam_nodes.shape[1]
+    header = (["t"] + [f"q{c + 1}" for c in range(n)]
+              + [f"xi{c + 1}" for c in range(3)] + [f"lam{c + 1}" for c in range(m)]
+              + [f"g{i}{j}" for i in range(1, 4) for j in range(1, 4)])
+    lines = [",".join(header)]
+    for i in range(N + 1):
+        row = ["%.17g" % float(t_nodes[i])]
+        row += ["%.17g" % float(v) for v in (q_nodes[i] if n else [])]
+        row += ["%.17g" % float(v) for v in xi_nodes[i]] if i < N else [""] * 3
+        if m:
+            row += (["%.17g" % float(v) for v in lam_nodes[i - 1]] if 1 <= i <= N - 1
+                    else [""] * m)
+        row += ["%.17g" % float(v) for v in g_nodes[i].ravel()]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 600])
+@pytest.mark.parametrize("with_q", [False, True], ids=["no_q", "q_and_lam"])
+def test_trajectory_equals_the_cell_by_cell_text(tmp_path, N, with_q):
+    """Empty cells, signed zeros and non-finite text as the per-cell format
+    writes them, over more rows than one formatting chunk."""
+    rng = np.random.default_rng(5)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1.0 / 3.0, -1e300]
+
+    def draw(*shape):
+        return rng.choice(special + list(rng.standard_normal(8)), size=shape)
+
+    q = draw(N + 1, 2) if with_q else None
+    lam = draw(max(N - 1, 0), 2) if with_q else None
+    args = (np.arange(N + 1) * 0.01, q, draw(N, 3), lam, draw(N + 1, 3, 3))
+    cli.write_trajectory(tmp_path / "trajectory.csv", *args)
+    assert (tmp_path / "trajectory.csv").read_text() == trajectory_by_cells(*args)
+
+
 def test_diagnostics_refuse_a_non_finite_number_they_cannot_convert(tmp_path):
     with pytest.raises(ValueError):
         cli.write_diagnostics(tmp_path / "diagnostics.json", {"x": (float("nan"),)})

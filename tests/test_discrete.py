@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geovar import cli, groups, ocp, oracle
+from geovar import cli, discrete, groups, ocp, oracle
 from geovar.discrete import (
     LEFT,
     RIGHT,
@@ -27,7 +27,7 @@ from geovar.discrete import (
 )
 from geovar.errors import SizeError
 from geovar.models import FreeRigidBody
-from geovar.retraction import CayleyRetraction
+from geovar.retraction import CayleyRetraction, make_retraction
 
 
 def rot_x(theta):
@@ -289,6 +289,73 @@ def test_dep_step_transports_only_the_term_its_trivialization_reads(trivializati
         assert retr.dtau_inv_calls == iterations + 2
         pair = np.stack([xi_prev, xi_next])
         assert np.abs(dep_residual(grad, pair, h, retr, trivialization)).max() <= 1e-12
+
+
+def flow_of_lone_steps(lhat_grad, xi0, N, h, retr, capped=None):
+    """Reference flow: one ``dep_step`` per node with ``dep_solve_path``'s
+    seeds and no carry; step ``capped`` (1-based) runs at ``tol = 0``."""
+    out = np.empty((N, 3))
+    out[0] = xi0
+    iters = []
+    for kk in range(1, N):
+        guess = None
+        if kk >= 3:
+            guess = 3.0 * (out[kk - 1] - out[kk - 2]) + out[kk - 3]
+        tol = 0.0 if kk == capped else 1e-13
+        out[kk], it = dep_step(lhat_grad, out[kk - 1], h, retr, tol=tol, guess=guess)
+        iters.append(it)
+    return out, iters
+
+
+def cap_one_call(monkeypatch, capped):
+    """Make the ``capped``-th ``discrete.dep_step`` call run at ``tol = 0``."""
+    real_step = discrete.dep_step
+    calls = []
+
+    def step(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == capped:
+            kwargs["tol"] = 0.0  # no residual falls below zero
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(discrete, "dep_step", step)
+
+
+@pytest.mark.parametrize("kind", ["cayley", "exp4"])
+@pytest.mark.parametrize("capped", [None, 1, 2, 3, 7], ids=lambda c: f"capped{c}")
+def test_carried_flow_equals_a_loop_of_lone_steps(monkeypatch, kind, capped):
+    """The carried momenta and the look-ahead change no node and no
+    iteration count, also at and after a step that hits its cap (whose
+    returned node was never evaluated)."""
+    h, N = 0.01, 60
+    retr = make_retraction(kind, groups.SO3)
+    grad = FreeRigidBody([1.0, 2.0, 3.0]).lhat_grad(h)
+    xi0 = np.array([0.3, 0.2, 0.5])
+    want, want_iters = flow_of_lone_steps(grad, xi0, N, h, retr, capped)
+    if capped is not None:
+        cap_one_call(monkeypatch, capped)
+    got, got_iters = dep_solve_path(grad, xi0, N, h, retr, return_iterations=True)
+    assert np.array_equal(got, want)
+    assert got_iters == want_iters
+    assert capped_steps(got_iters) == ([] if capped is None else [capped - 1])
+
+
+def test_carried_flow_pulls_back_once_per_newton_iteration():
+    """Over an N-node flow each Newton iteration evaluates one stack, and
+    each step transports once.  Step 1 pulls back its fixed node and its
+    first stack on their own; every later step reads both from the carry.
+    The lone steps pull back about three times per step."""
+    h, N = 0.01, 200
+    retr = CountingCayley(groups.SO3)
+    grad = FreeRigidBody([1.0, 2.0, 3.0]).lhat_grad(h)
+    xi, iters = dep_solve_path(grad, np.array([0.3, 0.2, 0.5]), N, h, retr,
+                               return_iterations=True)
+    assert iters[:2] == [2, 2] and set(iters[2:]) == {1}
+    assert retr.dtau_inv_calls == sum(iters) + 2 == N + 3
+    assert retr.tau_calls == N - 1
+    retr.tau_calls = retr.dtau_inv_calls = 0
+    flow_of_lone_steps(grad, xi[0], N, h, retr)
+    assert retr.dtau_inv_calls == sum(iters) + 2 * (N - 1) == 3 * N - 1
 
 
 def test_capped_steps_are_the_steps_that_report_the_cap():

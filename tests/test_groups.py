@@ -57,6 +57,44 @@ def test_hat_is_linear(u, v, a, b, tag):
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
+def hat_by_entries(v, tag):
+    """hat written entry by entry: the six SO(3) and four SE(2) entries."""
+    X = np.zeros(v.shape[:-1] + (3, 3))
+    if tag == groups.SO3:
+        X[..., 0, 1] = -v[..., 2]
+        X[..., 0, 2] = v[..., 1]
+        X[..., 1, 0] = v[..., 2]
+        X[..., 1, 2] = -v[..., 0]
+        X[..., 2, 0] = -v[..., 1]
+        X[..., 2, 1] = v[..., 0]
+    else:
+        X[..., 0, 1] = -v[..., 0]
+        X[..., 0, 2] = v[..., 1]
+        X[..., 1, 0] = v[..., 0]
+        X[..., 1, 2] = v[..., 2]
+    return X
+
+
+@pytest.mark.parametrize("tag", TAGS)
+@pytest.mark.parametrize("shape", [(3,), (1, 3), (7, 3), (2, 5, 3), (0, 3)])
+def test_hat_equals_its_entries_bit_for_bit(tag, shape):
+    """Signed zeros, infinities and NaNs included; the result is a new
+    C-ordered array of its own."""
+    rng = np.random.default_rng(11)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -1e308]
+    v = rng.choice(special + list(rng.standard_normal(8)), size=shape)
+    got = hat(v, tag)
+    want = hat_by_entries(v, tag)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert got.flags.c_contiguous and got.flags.owndata
+
+
+def test_hat_rejects_a_wrong_trailing_dimension():
+    with pytest.raises(AlgebraShapeError):
+        hat(np.zeros((2, 4)), groups.SO3)
+
+
 def test_se2_hat_layout():
     v = np.array([1.0, 2.0, 3.0])  # (rotation, tx, ty)
     expected = np.array([[0, -1, 2], [1, 0, 3], [0, 0, 0]], dtype=float)
