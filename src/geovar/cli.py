@@ -442,10 +442,7 @@ def cmd_solve(args):
 def _max_gap(t, table, t_ref, table_ref):
     """Largest entry of ``|table - table_ref|``, the reference node table
     interpolated linearly, column by column, to the node times ``t``."""
-    return max(
-        float(np.abs(table[:, c] - np.interp(t, t_ref, table_ref[:, c])).max())
-        for c in range(table.shape[1])
-    )
+    return float(np.abs(table - ocp.interp_columns(t, t_ref, table_ref)).max())
 
 
 def cmd_convergence(args):

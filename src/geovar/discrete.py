@@ -33,6 +33,10 @@ pulled-back momenta each step evaluates into the next.
 :func:`spatial_momentum` is the flow's conserved momentum in closed form;
 the central-difference pairing :func:`discrete_momentum` is its
 independent reference.
+
+:func:`compose` is the one place here and in :mod:`geovar.ocp` that spells
+the product order of a step, ``g tau`` (left) or ``tau g`` (right);
+:func:`reconstruct` chains it to rebuild group nodes from increments.
 """
 
 from __future__ import annotations
@@ -536,7 +540,8 @@ def reconstruct(xi_nodes, g0, h, retr, trivialization=LEFT):
     :func:`geovar.groups.renormalize`.  The products are formed node by
     node and the drift of all nodes is tested at once; where a node
     exceeds the trigger, it is projected and the nodes after it are formed
-    again from it.  Each path equals an :func:`advance` loop bit for bit.
+    again from it.  Each path equals, bit for bit, a loop that forms one
+    product by :func:`compose` and renormalizes it before the next.
     """
     tag = retr.group_tag
     N = xi_nodes.shape[-2]
@@ -546,7 +551,7 @@ def reconstruct(xi_nodes, g0, h, retr, trivialization=LEFT):
     done = 0  # nodes 0..done are final
     while done < N:
         for kk in range(done, N):
-            out[..., kk + 1, :, :] = _compose(
+            out[..., kk + 1, :, :] = compose(
                 out[..., kk, :, :], steps[..., kk, :, :], trivialization
             )
         if tag != groups.SO3:
@@ -560,12 +565,12 @@ def reconstruct(xi_nodes, g0, h, retr, trivialization=LEFT):
     return out
 
 
-def advance(g, step, tag, trivialization=LEFT):
-    """One reconstruction step: ``g tau`` (left) or ``tau g`` (right), then
-    renormalized.  Broadcasts over stacked ``g`` and ``step``."""
-    return groups.renormalize(_compose(g, step, trivialization), tag)
-
-
-def _compose(g, step, trivialization):
-    """The product of one reconstruction step, without renormalizing."""
-    return g @ step if trivialization == LEFT else step @ g
+def compose(g, step, trivialization):
+    """The product of one reconstruction step: ``g step`` (left) or
+    ``step g`` (right), without renormalizing.  Broadcasts over stacked
+    ``g`` and ``step``; any other trivialization raises ``ValueError``."""
+    if trivialization == LEFT:
+        return g @ step
+    if trivialization == RIGHT:
+        return step @ g
+    raise ValueError(f"unknown trivialization {trivialization!r}")

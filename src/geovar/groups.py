@@ -183,31 +183,36 @@ def so3_polar_project(g):
     return R
 
 
+def _so3_drift(g):
+    """``max |g^T g - e|`` of each matrix of a ``(..., 3, 3)`` stack."""
+    return np.abs(np.swapaxes(g, -1, -2) @ g - EYE3).max(axis=(-2, -1))
+
+
 def orthogonality_defect(g, tag):
     """Max deviation of the rotation part from orthogonality."""
     g = np.asarray(g, dtype=float)
     if tag == SO3:
-        return np.abs(np.swapaxes(g, -1, -2) @ g - EYE3).max()
+        return _so3_drift(g).max()
     R = g[..., :2, :2]
     return np.abs(np.swapaxes(R, -1, -2) @ R - np.eye(2)).max()
 
 
-def drifted(g, trigger=_POLAR_TRIGGER):
+def drifted(g):
     """Mask of the SO(3) matrices of a ``(..., 3, 3)`` stack whose drift
-    ``max |g^T g - e|`` exceeds the trigger: the ones :func:`renormalize`
+    ``max |g^T g - e|`` exceeds 1e-9: the ones :func:`renormalize`
     projects.  Each matrix is tested on its own."""
-    return np.abs(np.swapaxes(g, -1, -2) @ g - EYE3).max(axis=(-2, -1)) > trigger
+    return _so3_drift(g) > _POLAR_TRIGGER
 
 
-def renormalize(g, tag, trigger=_POLAR_TRIGGER):
-    """Re-project onto the group when drift exceeds the trigger (SO(3) only).
+def renormalize(g, tag):
+    """Re-project onto the group where drift exceeds 1e-9 (SO(3) only).
 
     Stacked inputs are checked (:func:`drifted`) and projected matrix by
     matrix.
     """
     if tag != SO3:
         return g
-    far = drifted(g, trigger)
+    far = drifted(g)
     if not np.any(far):
         return g
     out = g.copy()

@@ -111,10 +111,6 @@ class SecondOrderProblem:
         if self.N < 6:
             raise SizeError(f"need N >= 6, got {self.N}")
 
-    @property
-    def T(self):
-        return self.N * self.h
-
 
 # ---------------------------------------------------------------------------
 # Controlled system -> second-order problem
@@ -476,11 +472,7 @@ def closure_residual(prob, xi_nodes, retr):
 def _terminal_mismatch(prob, gN, retr):
     """``tau^-1`` of the gap between ``g_N`` and ``g(T)``; ``gN`` may be stacked."""
     gN_inv = groups.inverse_matrix(gN, prob.group_tag)
-    if prob.trivialization == LEFT:
-        rel = gN_inv @ prob.boundary.gT
-    else:
-        rel = prob.boundary.gT @ gN_inv
-    return retr.tau_inv(rel)
+    return retr.tau_inv(discrete.compose(gN_inv, prob.boundary.gT, prob.trivialization))
 
 
 def full_residual(prob, x, retr, Ld=None, Phi=None):
@@ -634,10 +626,14 @@ def _closure_fill(prob, retr):
         tau = retr.tau(h * xi)
         xi_pm = xi[start]
         xi_pm[chain, comp] += sign * np.repeat(steps[cols], 2)
-        ends = discrete.advance(g[start], retr.tau(h * xi_pm), tag, triv)
+        ends = groups.renormalize(
+            discrete.compose(g[start], retr.tau(h * xi_pm), triv), tag
+        )
         for k in range(2, N):
             live = np.searchsorted(start, k)  # chains whose node is below k
-            ends[:live] = discrete.advance(ends[:live], tau[k], tag, triv)
+            ends[:live] = groups.renormalize(
+                discrete.compose(ends[:live], tau[k], triv), tag
+            )
         c = _terminal_mismatch(prob, ends, retr)
         J[lay.closure_rows, cols] = (c[0::2] - c[1::2]).T / (2.0 * steps[cols])
 
@@ -656,13 +652,13 @@ def refine_guess(prob_coarse, x_coarse, prob_fine):
     Nf, hf = prob_fine.N, prob_fine.h
     if abs(Nc * hc - Nf * hf) > 1e-12 * Nc * hc:
         raise SizeError("refine_guess requires matching horizons T = N h")
-    q_nodes = _interp_columns(
+    q_nodes = interp_columns(
         np.arange(Nf + 1) * hf, np.arange(Nc + 1) * hc, path.q_nodes
     )
-    xi_nodes = _interp_columns(
+    xi_nodes = interp_columns(
         (np.arange(Nf) + 0.5) * hf, (np.arange(Nc) + 0.5) * hc, path.xi_nodes
     )
-    lam = _interp_columns(
+    lam = interp_columns(
         (np.arange(Nf - 1) + 1.0) * hf, (np.arange(Nc - 1) + 1.0) * hc,
         path.lambda_nodes,
     ) * (hf / hc)
@@ -670,7 +666,7 @@ def refine_guess(prob_coarse, x_coarse, prob_fine):
     return assemble_unknowns(prob_fine, fine)
 
 
-def _interp_columns(t_new, t_old, table):
+def interp_columns(t_new, t_old, table):
     """Each column of ``table``, sampled at ``t_old``, linearly
     interpolated to ``t_new``."""
     return np.stack([np.interp(t_new, t_old, col) for col in table.T], axis=1)

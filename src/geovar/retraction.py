@@ -7,7 +7,8 @@ is the linear map satisfying ``d/dxi tau(xi) eta = hat(dtau_xi eta) tau(xi)``;
 its inverse transpose is what enters the discrete group-part stationarity
 residuals.
 
-Two families are provided:
+Two families are provided, each applying its tangent matrices through
+:class:`Retraction`:
 
 * Cayley (default): ``cay(xi) = (e - hat(xi)/2)^-1 (e + hat(xi)/2)`` in
   closed form for SE(2) and SO(3), with closed-form inverses and tangent
@@ -38,23 +39,12 @@ _EXP_INV_MAX_ITER = 50  # its Newton iteration cap
 
 
 class Retraction:
-    """Abstract interface; see :class:`CayleyRetraction` and :class:`TruncExpRetraction`."""
+    """The tangent maps ``dtau``, ``dtau_inv`` and ``dtau_inv_star`` of a
+    subclass that defines ``tau``, ``tau_inv``, ``dtau_matrix`` and
+    ``dtau_inv_matrix``."""
 
     group_tag: str
 
-    def tau(self, xi):
-        raise NotImplementedError
-
-    def tau_inv(self, g):
-        raise NotImplementedError
-
-    def dtau_matrix(self, xi):
-        raise NotImplementedError
-
-    def dtau_inv_matrix(self, xi):
-        raise NotImplementedError
-
-    # conveniences -------------------------------------------------------
     def dtau(self, xi, eta):
         return np.einsum("...ij,...j->...i", self.dtau_matrix(xi), eta)
 

@@ -53,6 +53,20 @@ def test_unreadable_config_is_a_config_error(tmp_path, capsys):
     assert "config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, why", [("{bad", "invalid JSON"),
+                                       ("[1, 2]", "top level must be a table")],
+                         ids=["invalid_json", "list"])
+def test_config_that_is_not_a_json_table_is_a_config_error(tmp_path, capsys, text, why):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    code = cli.main(["solve", str(path), "--out-dir", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config field 'config'" in err
+    assert why in err
+    assert not (tmp_path / "diagnostics.json").exists()
+
+
 def test_too_few_nodes_rejected(tmp_path, capsys):
     table = base_se2_table()
     table["N"] = 4
@@ -217,6 +231,30 @@ def test_unknown_model_parameter_is_a_config_error(tmp_path, capsys, config, key
 
 
 # -- solve -------------------------------------------------------------------
+
+
+def test_reflection_as_the_ball_terminal_rotation_is_a_config_error(tmp_path, capsys):
+    table = base_table(BALL_CONFIG)
+    table["boundary"]["gT"] = np.diag([1.0, 1.0, -1.0]).tolist()
+    code = cli.main(["solve", write_config(tmp_path, table), "--out-dir", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config field 'boundary.gT'" in err
+    assert "determinant != +1" in err
+    assert not (tmp_path / "diagnostics.json").exists()
+
+
+def test_ball_terminal_rotation_as_nine_row_major_numbers_solves_the_same(tmp_path):
+    table = base_table(BALL_CONFIG)
+    outs = []
+    for name, gT in (("matrix", table["boundary"]["gT"]),
+                     ("flat", np.ravel(table["boundary"]["gT"]).tolist())):
+        table["boundary"]["gT"] = gT
+        out = tmp_path / name
+        assert cli.main(["solve", write_config(tmp_path, table, f"{name}.json"),
+                         "--out-dir", str(out)]) == 0
+        outs.append([(out / f).read_bytes() for f in ("trajectory.csv", "diagnostics.json")])
+    assert outs[0] == outs[1]
 
 
 def test_solve_vehicle_writes_outputs_and_converges(tmp_path):
@@ -680,6 +718,28 @@ def test_convergence_rejects_a_rung_below_the_step_minimum(
     err = capsys.readouterr().err
     assert "config field 'h-list'" in err
     assert f"need N >= {low}" in err
+    assert not (tmp_path / "convergence.csv").exists()
+
+
+def test_convergence_rejects_a_step_that_does_not_divide_the_horizon(tmp_path, capsys):
+    code = cli.main(
+        ["convergence", SE2_CONFIG, "--out-dir", str(tmp_path),
+         "--h-list", "0.3", "0.15", "0.075"]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config field 'h-list'" in err
+    assert "T = 2.0 is not an integer multiple of h = 0.3" in err
+    assert not (tmp_path / "convergence.csv").exists()
+
+
+def test_convergence_stops_at_the_first_rung_that_does_not_converge(tmp_path, capsys):
+    code = cli.main(
+        ["convergence", SE2_CONFIG, "--out-dir", str(tmp_path),
+         "--h-list", "0.1", "0.05", "0.025", "--max-iters", "1"]
+    )
+    assert code == 2
+    assert "inner solve failed at h = 0.1: max iterations reached" in capsys.readouterr().err
     assert not (tmp_path / "convergence.csv").exists()
 
 

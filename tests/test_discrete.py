@@ -1,7 +1,9 @@
 """Residual-assembler tests: discrete Euler-Poincare, second/k-th order
 stationarity, momentum maps, reconstruction."""
 
+import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -707,3 +709,37 @@ def test_drifted_is_the_renormalize_trigger():
     out = groups.renormalize(g, groups.SO3)
     assert np.array_equal(out[:2], g[:2])
     assert not np.array_equal(out[2], g[2])
+
+
+# -- the checked product order -----------------------------------------------
+
+
+@pytest.mark.parametrize("trivialization", [LEFT, RIGHT])
+def test_composing_and_renormalizing_node_by_node_equals_the_loop(trivialization):
+    """``compose`` spells the product order the reference loop spells for
+    itself; renormalized node by node, the two agree bit for bit on a path
+    that drifts past the projection trigger."""
+    xi = np.random.default_rng(5).uniform(-1.0, 1.0, size=(30, 3))
+    xi[:, 0] = 1.0
+    retr = DriftingCayley(3.3e-10)
+    want, projected = advance_loop(xi, np.eye(3), 0.1, retr, trivialization)
+    assert projected
+    steps = retr.tau(0.1 * xi)
+    g = np.eye(3)
+    for k in range(30):
+        g = groups.renormalize(discrete.compose(g, steps[k], trivialization), groups.SO3)
+        assert np.array_equal(g, want[k + 1])
+
+
+@pytest.mark.parametrize("trivialization", ["Left", "RIGHT", "", None])
+def test_an_unknown_trivialization_is_refused_where_the_product_is_formed(trivialization):
+    """A misspelt trivialization used to give the right-trivialized
+    products without complaint."""
+    xi, prob, retr = ball_xi_nodes(12, 0)
+    named = re.escape(repr(trivialization))
+    with pytest.raises(ValueError, match=named):
+        reconstruct(xi, prob.boundary.g0, prob.h, retr, trivialization)
+    with pytest.raises(ValueError, match=named):
+        ocp.initial_guess(dataclasses.replace(prob, trivialization=trivialization), retr)
+    with pytest.raises(ValueError, match=named):
+        discrete.compose(np.eye(3), retr.tau(xi[0]), trivialization)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geovar import cli, ocp
+from geovar import cli, ocp, solver
 from geovar.errors import SingularRetractionError
 from geovar.retraction import make_retraction
 from geovar.solver import FD_STEP, SolveResult, SolverConfig, fd_jacobian, solve
@@ -223,3 +223,19 @@ def test_a_raising_trial_the_search_reaches_still_raises():
     assert fn.stacks == [1, 20]
     assert fn.points[-1] == pytest.approx(0.5)
 
+
+
+def test_a_search_from_the_shortest_length_tests_all_lengths_in_one_stack():
+    """With ``last = 20`` the first stack holds all 21 lengths; when none
+    passes there is no second stack and the search returns None."""
+    def residual(x):
+        raise AssertionError("a stacked residual is not called point by point")
+
+    def stacked(X):
+        residual.stacks.append(X.copy())
+        return np.full((len(X), 1), np.inf)
+
+    residual.stacks, residual.stacked = [], stacked
+    assert solver._armijo(residual, np.zeros(1), np.ones(1), 0.5, 20) is None
+    assert len(residual.stacks) == 1
+    assert np.array_equal(residual.stacks[0][:, 0], 0.5 ** np.arange(21))

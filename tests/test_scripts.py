@@ -106,6 +106,21 @@ def test_energy_drift_runs_the_fewest_steps_it_accepts(tmp_path):
     assert rows.shape == (2, 5)
 
 
+def test_convergence_study_prints_the_slopes_the_readme_quotes(tmp_path, capsys):
+    """README quotes the rigid body's and the vehicle's slopes as about
+    2.2 and 2.3."""
+    code = load_script("convergence_study").main(["--out-dir", str(tmp_path)])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert out.count("fitted slope:") == 2
+    assert "fitted slope: 2.167" in out.split("== se2_vehicle")[0]
+    assert "fitted slope: 2.281" in out.split("== se2_vehicle")[1]
+    for name in ("free_rigid_body", "se2_vehicle"):
+        lines = (tmp_path / name / "convergence.csv").read_text().splitlines()
+        assert lines[0] == "h,error,slope"
+        assert len(lines) == 5  # the four default step sizes
+
+
 def test_benchmark_tracer_installs_and_restores(monkeypatch):
     """The tracer looks every name it patches up through ``__dict__``, so a
     deleted or renamed geovar function fails here, not only in a traced run."""

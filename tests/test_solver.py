@@ -278,6 +278,20 @@ def test_non_finite_residual_names_index():
         solve(residual, np.ones(4))
 
 
+def test_non_finite_jacobian_entry_names_its_row_and_column():
+    """Entry (2, 1) meets an infinite residual at the "+" point of column 1;
+    every other entry is finite."""
+    def residual(x):
+        out = x.copy()
+        if x[1] > 1.0:
+            out[2] = np.inf
+        return out
+
+    # the message spells each index as numpy prints it, np.int64(2) or 2
+    with pytest.raises(DomainError, match=r"entry at \((np\.int64\()?2\)?, (np\.int64\()?1\)?\)"):
+        fd_jacobian(residual, np.ones(4))
+
+
 def test_non_square_system_rejected():
     with pytest.raises(ValueError, match="not square"):
         solve(lambda x: np.concatenate([x, x]), np.ones(3))
