@@ -224,7 +224,6 @@ def test_a_raising_trial_the_search_reaches_still_raises():
     assert fn.points[-1] == pytest.approx(0.5)
 
 
-
 def test_a_search_from_the_shortest_length_tests_all_lengths_in_one_stack():
     """With ``last = 20`` the first stack holds all 21 lengths; when none
     passes there is no second stack and the search returns None."""
