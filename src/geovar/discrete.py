@@ -36,7 +36,9 @@ independent reference.
 
 :func:`compose` is the one place here and in :mod:`geovar.ocp` that spells
 the product order of a step, ``g tau`` (left) or ``tau g`` (right);
-:func:`reconstruct` chains it to rebuild group nodes from increments.
+:func:`reconstruct` chains it node by node to rebuild group nodes from
+increments, and :func:`product_tree` pairs it into the balanced product of
+all increments that the terminal closure of :mod:`geovar.ocp` reads.
 """
 
 from __future__ import annotations
@@ -563,6 +565,29 @@ def reconstruct(xi_nodes, g0, h, retr, trivialization=LEFT):
         done += 1 + int(np.argmax(far))
         out[..., done, :, :] = groups.renormalize(out[..., done, :, :], tag)
     return out
+
+
+def product_tree(steps, trivialization):
+    """The levels of the balanced product of time-ordered steps.
+
+    ``steps`` is a (possibly stacked) ``(..., N, 3, 3)`` array.  Level 0 is
+    ``steps``; each next level holds ``compose(earlier, later)`` of the
+    neighbouring pairs of the level below, in time order, and carries an
+    unpaired last node up unchanged.  The last level holds one node, the
+    product of all ``N`` steps: ``steps[0] ... steps[N-1]`` (left) or
+    ``steps[N-1] ... steps[0]`` (right), associated pairwise so that its
+    round-off grows as ``log N`` rather than ``N`` (Higham 2002, sec. 4.2).
+    A leaf moves only its ``ceil(log2 N)`` ancestors.  Nothing is
+    renormalized.
+    """
+    levels = [steps]
+    while levels[-1].shape[-3] > 1:
+        node = levels[-1]
+        pairs = compose(node[..., 0:-1:2, :, :], node[..., 1::2, :, :], trivialization)
+        if node.shape[-3] % 2:
+            pairs = np.concatenate([pairs, node[..., -1:, :, :]], axis=-3)
+        levels.append(pairs)
+    return levels
 
 
 def compose(g, step, trivialization):

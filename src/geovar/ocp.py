@@ -22,8 +22,10 @@ trivial bundle M x G:
    differences it.  :func:`jacobian_structure` reads the entries and a
    closed-form column colouring off the three-node stencil.  The local rows
    at the perturbations of all colours come from 2 stacked evaluations of
-   the same assembler (:func:`local_residual`), and the 3 closure rows from
-   ``6 (N-2)`` closure-only chain steps.
+   the same assembler (:func:`local_residual`).  The 3 closure rows read
+   the balanced product of all group steps (:func:`closure_residual`); the
+   ``6 (N-2)`` perturbed steps walk up its tree together, ``ceil(log2 N)``
+   stacked products in all.
 """
 
 from __future__ import annotations
@@ -457,16 +459,17 @@ def initial_guess(prob, retr):
 def closure_residual(prob, xi_nodes, retr):
     """Terminal group boundary condition in algebra coordinates.
 
-    Reconstructs ``g_N`` from ``g_0`` and the increments and returns
-    ``tau^-1(g_N^-1 g(T))`` (mirrored for the right-trivialized case);
-    zero iff the reconstructed terminal configuration matches ``g(T)``.
-    ``xi_nodes`` may carry a leading stack axis of paths, ``(P, N, 3)``.
+    Forms ``g_N = g_0 tau(h xi_0) ... tau(h xi_{N-1})`` (mirrored for the
+    right-trivialized case) as ``g_0`` composed with the root of the
+    balanced :func:`discrete.product_tree` of the steps, unrenormalized,
+    and returns ``(tau^-1(g_N^-1 g(T)), g_N)``; the first is zero iff
+    ``g_N`` matches ``g(T)``.  ``xi_nodes`` may carry a leading stack axis
+    of paths, ``(P, N, 3)``; each member is then its lone call bit for bit.
     """
-    b = prob.boundary
-    g_nodes = discrete.reconstruct(
-        xi_nodes, b.g0, prob.h, retr, prob.trivialization
-    )
-    return _terminal_mismatch(prob, g_nodes[..., -1, :, :], retr), g_nodes
+    triv = prob.trivialization
+    tree = discrete.product_tree(retr.tau(prob.h * xi_nodes), triv)
+    gN = discrete.compose(prob.boundary.g0, tree[-1][..., 0, :, :], triv)
+    return _terminal_mismatch(prob, gN, retr), gN
 
 
 def _terminal_mismatch(prob, gN, retr):
@@ -489,7 +492,7 @@ def local_residual(prob, x, retr, Ld, Phi):
     """The rows of :func:`full_residual` with zeros in the 3 closure rows,
     for each vector of a ``(P, total)`` stack ``x`` (or for one vector).
 
-    The closure rows see every ``xi`` through a sequential reconstruction;
+    The closure rows see every ``xi`` through the product of all steps;
     the pattern of :func:`make_residual_fn` differences them separately.
     """
     return _assemble(
@@ -514,7 +517,7 @@ def make_residual_fn(prob, retr):
     """:func:`full_residual` as a function of ``x``, the discretized
     callbacks captured once.  ``fn.stacked(X)`` returns the rows of
     :func:`full_residual` at every vector of a ``(P, total)`` stack in one
-    assembly and one stacked reconstruction, each row equal to ``fn`` at
+    assembly and one stacked closure product, each row equal to ``fn`` at
     that vector bit for bit under either retraction.
 
     The function carries its sparsity as ``fn.pattern``, a
@@ -522,8 +525,9 @@ def make_residual_fn(prob, retr):
     :func:`jacobian_structure`.  Over it :func:`solver.fd_jacobian`
     reproduces the dense Jacobian bit for bit from 2 stacked
     :func:`local_residual` evaluations, one over the "+" and one over the
-    "-" perturbations of every colour, plus ``6 (N-2)`` closure-only chain
-    steps; ``fn`` itself is not called.
+    "-" perturbations of every colour, plus one walk of the ``6 (N-2)``
+    perturbed steps up the closure's product tree (:func:`_closure_fill`);
+    ``fn`` itself is not called.
 
     When the problem declares a ``conserved`` constraint, ``fn.gauge`` holds
     the columns of its multipliers, the known null direction of every
@@ -606,35 +610,47 @@ def jacobian_structure(prob):
 def _closure_fill(prob, retr):
     """``fill(x, steps, J)`` writing the closure rows of the Jacobian.
 
-    Each xi column restarts the reconstruction from the cached prefix
-    ``g_k`` of its node, so the sequential products (and renormalizations)
-    are those of a full :func:`discrete.reconstruct` of the perturbed path.
-    All perturbed chains advance together, one step at a time.
+    The closure is the root of the balanced product of the steps
+    (:func:`closure_residual`), and a perturbed xi moves only its leaf's
+    ancestors.  So the fill builds the tree of ``x`` once and walks the
+    ``6 (N-2)`` perturbed leaves to the root together: at each level one
+    stacked :func:`discrete.compose` with the sibling of the tree of ``x``,
+    on the side the node's index parity says, carrying a node with no
+    sibling up unchanged.  Every product is the one :func:`closure_residual`
+    forms at the perturbed point, so the rows equal the dense differences
+    bit for bit, after ``ceil(log2 N)`` stacked products.
     """
     lay = layout(prob)
-    N, h, tag, triv = prob.N, prob.h, prob.group_tag, prob.trivialization
+    N, h, triv = prob.N, prob.h, prob.trivialization
     cols = np.arange(lay.xi_slice.start, lay.xi_slice.stop)
-    # chain 2c (2c + 1) is column c stepped up (down); chains sorted by node
-    start = np.repeat(np.arange(1, N - 1), 6)
+    # walker 2c (2c + 1) is column c stepped up (down); walkers sorted by node
+    node = np.repeat(np.arange(1, N - 1), 6)
     comp = np.repeat(np.tile(np.arange(3), N - 2), 2)
     sign = np.tile([1.0, -1.0], cols.size)
-    chain = np.arange(start.size)
+    walker = np.arange(node.size)
+    # per level below the root: each walker's sibling in the tree of x,
+    # whether it has one, and whether the walker is the earlier of the pair
+    walk = []
+    at, size = node, N
+    while size > 1:
+        sibling = at ^ 1
+        walk.append((np.minimum(sibling, size - 1),
+                     (sibling < size)[:, None, None],
+                     (at % 2 == 0)[:, None, None]))
+        at, size = at // 2, (size + 1) // 2
 
     def fill(x, steps, J):
         xi = scatter(prob, x).xi_nodes
-        g = discrete.reconstruct(xi, prob.boundary.g0, h, retr, triv)
-        tau = retr.tau(h * xi)
-        xi_pm = xi[start]
-        xi_pm[chain, comp] += sign * np.repeat(steps[cols], 2)
-        ends = groups.renormalize(
-            discrete.compose(g[start], retr.tau(h * xi_pm), triv), tag
-        )
-        for k in range(2, N):
-            live = np.searchsorted(start, k)  # chains whose node is below k
-            ends[:live] = groups.renormalize(
-                discrete.compose(ends[:live], tau[k], triv), tag
-            )
-        c = _terminal_mismatch(prob, ends, retr)
+        tree = discrete.product_tree(retr.tau(h * xi), triv)
+        xi_pm = xi[node]
+        xi_pm[walker, comp] += sign * np.repeat(steps[cols], 2)
+        up = retr.tau(h * xi_pm)
+        for level, (sibling, paired, earlier) in zip(tree, walk):
+            other = level[sibling]
+            up = np.where(paired, discrete.compose(
+                np.where(earlier, up, other), np.where(earlier, other, up), triv
+            ), up)
+        c = _terminal_mismatch(prob, discrete.compose(prob.boundary.g0, up, triv), retr)
         J[lay.closure_rows, cols] = (c[0::2] - c[1::2]).T / (2.0 * steps[cols])
 
     return fill

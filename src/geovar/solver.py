@@ -20,8 +20,9 @@ answers each stack in one call.
 :func:`solve` differences a residual function over the pattern it carries
 as its ``pattern`` attribute, and densely when it carries none.  The
 optimal-control residual (:func:`geovar.ocp.make_residual_fn`) carries one,
-so its Jacobian is 2 stacked evaluations of the local rows plus 6 (N-2)
-closure-only chain steps for the 3 terminal-closure rows.
+so its Jacobian is 2 stacked evaluations of the local rows plus, for the 3
+terminal-closure rows, one walk of the 6 (N-2) perturbed steps up the
+balanced product tree of all steps: ceil(log2 N) stacked products.
 
 The Armijo line search of :func:`solve` tries the step lengths
 ``t = 1 .. 2^-20`` in at most two stacks: ``t = 1`` down to the length

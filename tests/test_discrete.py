@@ -2,6 +2,7 @@
 stationarity, momentum maps, reconstruction."""
 
 import dataclasses
+import functools
 import json
 import re
 from pathlib import Path
@@ -743,3 +744,30 @@ def test_an_unknown_trivialization_is_refused_where_the_product_is_formed(trivia
         ocp.initial_guess(dataclasses.replace(prob, trivialization=trivialization), retr)
     with pytest.raises(ValueError, match=named):
         discrete.compose(np.eye(3), retr.tau(xi[0]), trivialization)
+
+
+# -- the balanced product ----------------------------------------------------
+
+
+@pytest.mark.parametrize("trivialization", [LEFT, RIGHT])
+@pytest.mark.parametrize("N", [1, 2, 5, 8, 9, 15])
+def test_product_tree_pairs_neighbours_earlier_first(N, trivialization):
+    """Each level multiplies neighbouring pairs of the level below, the
+    earlier one on the side the trivialization says, and carries an unpaired
+    last node up; small integer steps multiply exactly, so the root is the
+    time-ordered product of all steps bit for bit."""
+    steps = np.random.default_rng(N).integers(-2, 3, size=(2, N, 3, 3)).astype(float)
+    levels = discrete.product_tree(steps, trivialization)
+    assert len(levels) == 1 + int(np.ceil(np.log2(N)))
+    assert levels[0] is steps
+    for lower, upper in zip(levels, levels[1:]):
+        n = lower.shape[-3]
+        assert upper.shape == (2, (n + 1) // 2, 3, 3)
+        for j in range(n // 2):
+            a, b = lower[:, 2 * j], lower[:, 2 * j + 1]
+            assert np.array_equal(upper[:, j], a @ b if trivialization == LEFT else b @ a)
+        if n % 2:
+            assert np.array_equal(upper[:, -1], lower[:, -1])
+    order = range(N) if trivialization == LEFT else reversed(range(N))
+    want = functools.reduce(np.matmul, [steps[:, k] for k in order])
+    assert np.array_equal(levels[-1][:, 0], want)

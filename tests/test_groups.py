@@ -150,6 +150,13 @@ def test_group_element_validation():
         check_matrix(bad, groups.SE2)
 
 
+@pytest.mark.parametrize("tag", TAGS)
+@pytest.mark.parametrize("shape", [(2, 2), (4, 4), (5, 2, 2)])
+def test_a_matrix_of_the_wrong_shape_is_refused_naming_the_shape(tag, shape):
+    with pytest.raises(GroupInvariantError, match=r"expected trailing shape \(3, 3\)"):
+        check_matrix(np.ones(shape), tag)
+
+
 # -- bracket structure -------------------------------------------------------
 
 
@@ -239,6 +246,26 @@ def test_polar_projection_restores_orthogonality():
     fixed = groups.renormalize(drifted, groups.SO3)
     assert groups.orthogonality_defect(fixed, groups.SO3) < 1e-12
     assert np.abs(fixed - g).max() < 1e-5
+
+
+def test_a_near_reflection_is_projected_onto_the_rotations():
+    """The polar factor of a matrix near ``diag(1, 1, -1)`` is a reflection;
+    the projection flips its smallest singular direction to give the
+    closest rotation ``U diag(1, 1, -1) V^T``.  A drifted rotation in the
+    same stack is projected without the flip."""
+    rng = np.random.default_rng(11)
+    near = np.diag([1.0, 1.0, -1.0]) + 1e-3 * rng.normal(size=(3, 3))
+    rotation = random_element(rng, groups.SO3) + 1e-6 * rng.normal(size=(3, 3))
+    fixed = groups.renormalize(np.stack([near, rotation]), groups.SO3)
+    U, _, Vt = np.linalg.svd(near)
+    assert np.linalg.det(U @ Vt) < 0
+    assert np.abs(fixed[0] - U @ np.diag([1.0, 1.0, -1.0]) @ Vt).max() < 1e-12
+    U, _, Vt = np.linalg.svd(rotation)
+    assert np.abs(fixed[1] - U @ Vt).max() < 1e-12
+    for R in fixed:
+        assert np.linalg.det(R) > 0
+        assert np.abs(R.T @ R - np.eye(3)).max() < 1e-12
+        assert abs(np.linalg.det(R) - 1.0) < 1e-12
 
 
 def test_the_shared_identity_is_read_only():

@@ -252,9 +252,9 @@ def test_closure_vanishes_for_consistent_increments():
     for k in range(8):
         g = g @ retr.tau(prob.h * xi[k])
     prob.boundary.gT = g
-    closure, g_nodes = ocp.closure_residual(prob, xi, retr)
+    closure, gN = ocp.closure_residual(prob, xi, retr)
     assert np.abs(closure).max() < 1e-10
-    assert np.abs(g_nodes[-1] - g).max() < 1e-12
+    assert np.abs(gN - g).max() < 1e-12
 
 
 def test_boundary_perturbation_is_local_to_its_stencil_footprint():
@@ -444,6 +444,85 @@ def test_grouped_jacobian_equals_dense_bit_for_bit(name, N, retraction):
     undeclared[rows, cols] = 0.0
     undeclared[lay.closure_rows, lay.xi_slice] = 0.0
     assert not np.any(undeclared)
+
+
+@pytest.mark.parametrize("retraction", ["cayley", "exp4"])
+@pytest.mark.parametrize("name", ["se2_vehicle.json", "ball_plate.json"])
+@pytest.mark.parametrize("N", [9, 11, 15, 17, 18, 33])
+def test_closure_block_equals_dense_at_the_tree_edge_sizes(name, N, retraction):
+    """One step above a power of two (9, 17, 33), one below (15), odd N;
+    at 11 and 18 the ancestors of perturbed leaves have no sibling on
+    levels 2 (11) and 1 to 3 (18).  The closure walk carries such a node up
+    as the product tree does, so the grouped Jacobian is still the dense
+    one exactly."""
+    prob, retr = fixture_problem(name, N, retraction)
+    fn = ocp.make_residual_fn(prob, retr)
+    rng = np.random.default_rng(N)
+    x = initial_guess(prob, retr) + 0.02 * rng.normal(size=layout(prob).total)
+    assert np.array_equal(fd_jacobian(fn, x, pattern=fn.pattern), fd_jacobian(fn, x))
+
+
+class ClosureBlock:
+    """Stands in for the Jacobian: keeps the one block a closure fill writes."""
+
+    def __setitem__(self, key, value):
+        self.key, self.value = key, value
+
+
+@pytest.mark.parametrize("N", [20, 640])
+def test_one_closure_fill_makes_logarithmically_many_products(monkeypatch, N):
+    """The fill builds the product tree of ``x`` (one stacked product per
+    level) and walks all 6 (N-2) perturbed leaves to the root together (one
+    more per level), then composes with ``g_0`` and forms the mismatch: the
+    count grows as log N, where a chain walk took a product per node."""
+    prob, retr = fixture_problem("se2_vehicle.json", N)
+    lay = layout(prob)
+    fill = ocp._closure_fill(prob, retr)
+    x = initial_guess(prob, retr)
+    products = []
+    compose_real = discrete.compose
+
+    def counting(g, step, trivialization):
+        products.append(np.broadcast_shapes(np.shape(g), np.shape(step))[:-2])
+        return compose_real(g, step, trivialization)
+
+    monkeypatch.setattr(discrete, "compose", counting)
+    J = ClosureBlock()
+    fill(x, solver.FD_STEP * np.maximum(1.0, np.abs(x)), J)
+    levels = int(np.ceil(np.log2(N)))
+    assert len(products) == 2 * levels + 2
+    assert products.count((6 * (N - 2),)) == levels + 2
+    rows, cols = J.key
+    assert rows == lay.closure_rows
+    assert np.array_equal(cols, np.arange(lay.xi_slice.start, lay.xi_slice.stop))
+    assert J.value.shape == (3, lay.xi_size) and np.all(np.isfinite(J.value))
+
+
+@pytest.mark.parametrize("retraction", ["cayley", "exp4"])
+@pytest.mark.parametrize("name", ["se2_vehicle.json", "ball_plate.json"])
+def test_stacked_closure_equals_each_lone_call(name, retraction):
+    prob, retr = fixture_problem(name, 17, retraction)
+    rng = np.random.default_rng(7)
+    X = initial_guess(prob, retr) + 0.02 * rng.normal(size=(5, layout(prob).total))
+    xi = scatter(prob, X).xi_nodes
+    closure, gN = ocp.closure_residual(prob, xi, retr)
+    assert closure.shape == (5, 3) and gN.shape == (5, 3, 3)
+    for k in range(5):
+        lone_closure, lone_gN = ocp.closure_residual(prob, xi[k], retr)
+        assert np.array_equal(closure[k], lone_closure)
+        assert np.array_equal(gN[k], lone_gN)
+
+
+def test_closure_product_agrees_with_the_reconstructed_terminal_node():
+    """The closure's unrenormalized balanced product and the last node of
+    the sequential, renormalizing reconstruction differ by round-off only."""
+    prob, retr = fixture_problem("ball_plate.json", 384)
+    rng = np.random.default_rng(3)
+    x = initial_guess(prob, retr) + 0.02 * rng.normal(size=layout(prob).total)
+    xi = scatter(prob, x).xi_nodes
+    _, gN = ocp.closure_residual(prob, xi, retr)
+    g_nodes = discrete.reconstruct(xi, prob.boundary.g0, prob.h, retr, prob.trivialization)
+    assert np.abs(gN - g_nodes[-1]).max() < 1e-12
 
 
 def colour_count(prob):
