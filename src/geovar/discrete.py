@@ -91,9 +91,13 @@ class DiscreteLagrangian:
 class DiscreteConstraintSet:
     """Vector of ``m`` discrete constraints with the same call signature.
 
-    ``d_eval(qs, xis) -> (Dq_list, Dxi_list)`` optionally supplies analytic
-    slot derivatives with a leading constraint axis: ``Dq_list[j]`` has
-    shape ``(B, m, n)`` and ``Dxi_list[j]`` shape ``(B, m, d)``.
+    ``d_eval(qs, xis, lambdas) -> (Dq_list, Dxi_list, values)`` optionally
+    supplies, in one pass over the windows, the slot derivatives of the
+    augmented window value ``L_d + lambda . Phi_d`` of the pair it was built
+    with, and the constraint values ``Phi_d`` at the same windows.
+    ``lambdas`` has shape ``(B, m)``; ``Dq_list[j]`` has shape ``(B, n)``,
+    ``Dxi_list[j]`` shape ``(B, d)`` (the shapes of the finite-difference
+    path) and ``values`` shape ``(B, m)``.
     """
 
     m: int
@@ -185,31 +189,28 @@ def _augmented_eval(Ld, Phi, lambdas):
 def _slot_gradients(Ld, Phi, lambdas, q_nodes, xi_nodes):
     """Per-slot derivatives of the augmented window value.
 
+    A constraint set that carries ``d_eval`` answers in one call, with its
+    constraint values; a lone Lagrangian (``Phi is None``) uses its own
+    ``d_eval``.  Otherwise every slot is differenced centrally through
+    :func:`_augmented_eval`.
+
     Returns
     -------
     Dq : list of k+1 arrays (..., B, n)
     Dxi : list of k arrays (..., B, d)
+    values : (..., B, m) constraint values, or None where none were formed
     """
     k = Ld.order
     qs, xis, _ = window_views(q_nodes, xi_nodes, k)
-    if Ld.d_eval is not None and (Phi is None or Phi.d_eval is not None):
-        Dq, Dxi = Ld.d_eval(tuple(qs), tuple(xis))
-        if Phi is not None:
-            PDq, PDxi = Phi.d_eval(tuple(qs), tuple(xis))
-            Dq = [
-                Dq[j] + np.einsum("...m,...mn->...n", lambdas, PDq[j])
-                for j in range(k + 1)
-            ]
-            Dxi = [
-                Dxi[j] + np.einsum("...m,...mn->...n", lambdas, PDxi[j])
-                for j in range(k)
-            ]
-        return Dq, Dxi
+    if Phi is not None and Phi.d_eval is not None:
+        return Phi.d_eval(tuple(qs), tuple(xis), lambdas)
+    if Phi is None and Ld.d_eval is not None:
+        return (*Ld.d_eval(tuple(qs), tuple(xis)), None)
     arrays = list(qs) + list(xis)
     f = _augmented_eval(Ld, Phi, lambdas)
     Dq = [slot_derivative(f, arrays, j) for j in range(k + 1)]
     Dxi = [slot_derivative(f, arrays, k + 1 + j) for j in range(k)]
-    return Dq, Dxi
+    return Dq, Dxi, None
 
 
 def xi_slot_totals(Dxi, N, k):
@@ -291,7 +292,7 @@ def dlp_k_residual(Ld, Phi, path, retr, trivialization=LEFT):
             raise SizeError(
                 f"lambda_nodes must have shape {(N - k + 1, Phi.m)}, got {got}"
             )
-    Dq, Dxi = _slot_gradients(Ld, Phi, lambdas, path.q_nodes, path.xi_nodes)
+    Dq, Dxi, res_phi = _slot_gradients(Ld, Phi, lambdas, path.q_nodes, path.xi_nodes)
 
     lead = path.q_nodes.shape[:-2]
     res_q = np.zeros(lead + (N - 2 * k + 1, path.q_nodes.shape[-1]))
@@ -303,11 +304,11 @@ def dlp_k_residual(Ld, Phi, path, retr, trivialization=LEFT):
         S, path.xi_nodes, path.h, retr, trivialization, k, N - k
     )
 
-    if Phi is not None:
+    if Phi is None:
+        res_phi = np.zeros(lead + (N - k + 1, 0))
+    elif res_phi is None:
         qs, xis, _ = window_views(path.q_nodes, path.xi_nodes, k)
         res_phi = Phi.eval(tuple(qs), tuple(xis))
-    else:
-        res_phi = np.zeros(lead + (N - k + 1, 0))
     return res_q, res_g, res_phi
 
 
@@ -329,7 +330,7 @@ def dlp2_residual(Ld, path, retr, trivialization=LEFT):
     N = path.N
     if N < 5:
         raise SizeError(f"need N >= 5, got N={N}")
-    Dq, Dxi = _slot_gradients(Ld, None, None, path.q_nodes, path.xi_nodes)
+    Dq, Dxi, _ = _slot_gradients(Ld, None, None, path.q_nodes, path.xi_nodes)
     # nodes i = 2..N-2
     res_q = Dq[0][2 : N - 1]
     res_q = res_q + Dq[1][1 : N - 2]

@@ -12,7 +12,11 @@ trivial bundle M x G:
    unactuated combinations become the second-order constraints ``Phi``.
 3. :func:`discretize` applies the symmetric midpoint-style stencils,
    producing a :class:`~geovar.discrete.DiscreteLagrangian` of order 2 and
-   a :class:`~geovar.discrete.DiscreteConstraintSet`.
+   a :class:`~geovar.discrete.DiscreteConstraintSet`.  With analytic model
+   gradients the constraint set carries the one-pass derivative of the
+   augmented value ``L_d + lambda . Phi_d``: the slot derivatives and the
+   constraint values of all windows from one stencil point, one call of
+   each model callback and one :func:`stencil_chain`.
 4. :func:`full_residual` assembles interior stationarity, the terminal
    algebra closure and the constraint windows into one square system whose
    unknowns are laid out as ``[q_2..q_{N-2} | xi_1..xi_{N-2} | lambda^0..
@@ -103,6 +107,8 @@ class SecondOrderProblem:
     # Optional analytic gradients w.r.t. (q, dq, ddq, xi, dxi):
     # d_ltilde(...) -> 5-tuple of (B, n)/(B, 3) arrays;
     # d_phi(...) -> 5-tuple with a leading constraint axis (B, m, .).
+    # With both, discretize contracts the multipliers into them and chains
+    # once; without either, the window-slot derivatives are differenced.
     d_ltilde: Optional[Callable] = None
     d_phi: Optional[Callable] = None
     conserved: Optional[int] = None
@@ -257,9 +263,16 @@ def discretize(prob):
     """Discrete Lagrangian (scaled by h) and constraint set on the stencils.
 
     Windows of a stack of paths, ``(P, B, n)``, reach the model callbacks as
-    ``P B`` rows.
+    ``P B`` rows.  When the problem carries both analytic gradients, the
+    constraint set's ``d_eval(qs, xis, lambdas)`` is the one-pass kernel of
+    the augmented value ``L_d + lambda . Phi_d``: one stencil point, one
+    ``d_ltilde``, ``d_phi`` and ``phi`` call each, the multipliers
+    contracted into the model gradients (``h grad ltilde + lambda . grad
+    phi`` per stencil argument) and one stencil chain over the result.  It
+    returns the slot derivatives and the constraint values of the windows.
+    Without both gradients the slot derivatives are differenced.
     """
-    h = prob.h
+    h, m = prob.h, prob.m
 
     def rows(qs, xis):
         """Stencil point as ``(rows, .)`` arrays and the window shape."""
@@ -267,45 +280,44 @@ def discretize(prob):
         lead = point[0].shape[:-1]
         return [a.reshape(-1, a.shape[-1]) for a in point], lead
 
-    def unflatten(arrays, lead):
-        return [a.reshape(lead + a.shape[1:]) for a in arrays]
-
     def ld(qs, xis):
         flat, lead = rows(qs, xis)
         return h * prob.ltilde(*flat).reshape(lead)
 
     def phid(qs, xis):
         flat, lead = rows(qs, xis)
-        return prob.phi(*flat).reshape(lead + (prob.m,))
+        return prob.phi(*flat).reshape(lead + (m,))
 
-    def chain(gq, gdq, gddq, gxi, gdxi, scale):
-        # slot derivatives of the stencil composition
-        Dq = [
-            scale * (gq / 3.0 - gdq / (2.0 * h) + gddq / (h * h)),
-            scale * (gq / 3.0 - 2.0 * gddq / (h * h)),
-            scale * (gq / 3.0 + gdq / (2.0 * h) + gddq / (h * h)),
+    def d_augmented(qs, xis, lambdas):
+        flat, lead = rows(qs, xis)
+        lam = lambdas.reshape(-1, m)
+        grads = [
+            (h * gl + np.einsum("bm,bmn->bn", lam, gp)).reshape(lead + gl.shape[1:])
+            for gl, gp in zip(prob.d_ltilde(*flat), prob.d_phi(*flat))
         ]
-        Dxi = [
-            scale * (gxi / 2.0 - gdxi / h),
-            scale * (gxi / 2.0 + gdxi / h),
-        ]
-        return Dq, Dxi
+        Dq, Dxi = stencil_chain(*grads, h)
+        return Dq, Dxi, prob.phi(*flat).reshape(lead + (m,))
 
-    d_ld = None
-    d_phid = None
-    if prob.d_ltilde is not None:
-        def d_ld(qs, xis):
-            flat, lead = rows(qs, xis)
-            return chain(*unflatten(prob.d_ltilde(*flat), lead), scale=h)
-
-    if prob.d_phi is not None:
-        def d_phid(qs, xis):
-            flat, lead = rows(qs, xis)
-            return chain(*unflatten(prob.d_phi(*flat), lead), scale=1.0)
-
-    Ld = DiscreteLagrangian(order=K_ORDER, eval=ld, d_eval=d_ld)
-    Phi = DiscreteConstraintSet(m=prob.m, eval=phid, d_eval=d_phid)
+    have_grads = prob.d_ltilde is not None and prob.d_phi is not None
+    Ld = DiscreteLagrangian(order=K_ORDER, eval=ld)
+    Phi = DiscreteConstraintSet(
+        m=m, eval=phid, d_eval=d_augmented if have_grads else None
+    )
     return Ld, Phi
+
+
+def stencil_chain(gq, gdq, gddq, gxi, gdxi, h):
+    """Window-slot derivatives of a function of the stencil point, from its
+    gradients with respect to ``(q, dq, ddq, xi, dxi)``: ``([D_q0, D_q1,
+    D_q2], [D_xi0, D_xi1])``, the transpose of :func:`stencil_point`."""
+    mean = gq / 3.0
+    first = gdq / (2.0 * h)
+    second = gddq / (h * h)
+    alg_mid = gxi / 2.0
+    alg_diff = gdxi / h
+    Dq = [mean - first + second, mean - 2.0 * second, mean + first + second]
+    Dxi = [alg_mid - alg_diff, alg_mid + alg_diff]
+    return Dq, Dxi
 
 
 # ---------------------------------------------------------------------------

@@ -653,6 +653,130 @@ def test_ball_solve_is_identical_with_grouped_and_dense_jacobians():
     assert grouped.residual_history == dense.residual_history
 
 
+# -- the augmented window kernel ---------------------------------------------
+
+
+def kernel_case(case):
+    """A problem with analytic gradients, a random stack of 3 paths on it
+    and its windows: ``(prob, Ld, Phi, qs, xis, lambdas)``."""
+    if case == "vehicle":
+        prob, _ = fixture_problem("se2_vehicle.json", 12)
+    else:
+        prob = fast_plate_ball(12, 0.25, case.split("-")[1])
+    retr = make_retraction("cayley", prob.group_tag)
+    rng = np.random.default_rng(11)
+    X = initial_guess(prob, retr) + 0.05 * rng.normal(size=(3, layout(prob).total))
+    X[:, layout(prob).lam_slice] = rng.normal(size=(3, layout(prob).lam_size))
+    path = scatter(prob, X)
+    qs, xis, _ = discrete.window_views(path.q_nodes, path.xi_nodes, 2)
+    Ld, Phi = discretize(prob)
+    return prob, Ld, Phi, tuple(qs), tuple(xis), path.lambda_nodes
+
+
+def two_callback_slots(prob, qs, xis, lambdas):
+    """Slot derivatives the way they were formed with one callback per
+    term: each model gradient through its own stencil chain (the
+    Lagrangian's scaled by h after the chain), then the multipliers
+    contracted into the constraint slots."""
+    h = prob.h
+    point = stencil_point(qs, xis, h)
+    lead = point[0].shape[:-1]
+    flat = [a.reshape(-1, a.shape[-1]) for a in point]
+
+    def chain(grads, scale):
+        gq, gdq, gddq, gxi, gdxi = [g.reshape(lead + g.shape[1:]) for g in grads]
+        return [
+            scale * (gq / 3.0 - gdq / (2.0 * h) + gddq / (h * h)),
+            scale * (gq / 3.0 - 2.0 * gddq / (h * h)),
+            scale * (gq / 3.0 + gdq / (2.0 * h) + gddq / (h * h)),
+            scale * (gxi / 2.0 - gdxi / h),
+            scale * (gxi / 2.0 + gdxi / h),
+        ]
+
+    lagrangian = chain(prob.d_ltilde(*flat), h)
+    constraints = chain(prob.d_phi(*flat), 1.0)
+    return [
+        DL + np.einsum("...m,...mn->...n", lambdas, DP)
+        for DL, DP in zip(lagrangian, constraints)
+    ]
+
+
+def relative_gap(got, want):
+    return float(np.abs(got - want).max() / max(np.abs(want).max(), 1.0))
+
+
+@pytest.mark.parametrize("case", ["vehicle", "ball-right", "ball-left"])
+def test_augmented_kernel_matches_the_differenced_augmented_value(case):
+    """At random stacked points the kernel's slot derivatives are central
+    differences of ``L_d + lambda . Phi_d``, and its constraint values are
+    the constraint set's own, bit for bit."""
+    prob, Ld, Phi, qs, xis, lambdas = kernel_case(case)
+    Dq, Dxi, values = Phi.d_eval(qs, xis, lambdas)
+    f = discrete._augmented_eval(Ld, Phi, lambdas)
+    arrays = list(qs) + list(xis)
+    for j, got in enumerate(Dq + Dxi):
+        want = discrete.slot_derivative(f, arrays, j)
+        assert got.shape == want.shape
+        assert relative_gap(got, want) < 1e-6, (case, j)
+    assert np.array_equal(values, Phi.eval(qs, xis))
+
+
+@pytest.mark.parametrize("case", ["vehicle", "ball-right", "ball-left"])
+def test_augmented_kernel_matches_the_two_callback_formula(case):
+    """One chain over the contracted gradients equals a chain per callback
+    followed by the contraction, up to re-association."""
+    prob, _, Phi, qs, xis, lambdas = kernel_case(case)
+    Dq, Dxi, _ = Phi.d_eval(qs, xis, lambdas)
+    for j, (got, want) in enumerate(zip(Dq + Dxi, two_callback_slots(prob, qs, xis, lambdas))):
+        assert relative_gap(got, want) < 1e-12, (case, j)
+
+
+@pytest.mark.parametrize("case", ["vehicle", "ball-right", "ball-left"])
+def test_augmented_kernel_without_multipliers_is_the_lagrangian_chain(case):
+    """At lambda = 0 the constraint gradients add nothing: the slots are
+    the stencil chain of ``h grad ltilde`` bit for bit, and the
+    Lagrangian-only two-callback formula to round-off."""
+    prob, _, Phi, qs, xis, lambdas = kernel_case(case)
+    zero = np.zeros_like(lambdas)
+    Dq, Dxi, _ = Phi.d_eval(qs, xis, zero)
+    point = stencil_point(qs, xis, prob.h)
+    lead = point[0].shape[:-1]
+    grads = prob.d_ltilde(*[a.reshape(-1, a.shape[-1]) for a in point])
+    want_q, want_xi = ocp.stencil_chain(*[prob.h * g for g in grads], prob.h)
+    for got, want in zip(Dq + Dxi, want_q + want_xi):
+        assert np.array_equal(got, want.reshape(got.shape))
+    for got, want in zip(Dq + Dxi, two_callback_slots(prob, qs, xis, zero)):
+        assert relative_gap(got, want) < 1e-12
+    assert lead == Dq[0].shape[:-1]
+
+
+@pytest.mark.parametrize("name", ["se2_vehicle.json", "ball_plate.json"])
+def test_one_assembly_makes_one_pass_over_the_stencil_point(monkeypatch, name):
+    """An assembly of one path, or of a stack of as many paths as the
+    Jacobian has colours, forms the stencil point once and calls each of
+    ``d_ltilde``, ``d_phi`` and ``phi`` once, and ``ltilde`` never."""
+    prob, retr = fixture_problem(name, 20)
+    calls = []
+
+    def counting(label, fn):
+        def counted(*args):
+            calls.append(label)
+            return fn(*args)
+
+        return counted
+
+    monkeypatch.setattr(ocp, "stencil_point", counting("stencil_point", ocp.stencil_point))
+    for attr in ("ltilde", "d_ltilde", "d_phi", "phi"):
+        monkeypatch.setattr(prob, attr, counting(attr, getattr(prob, attr)))
+    Ld, Phi = discretize(prob)
+    rng = np.random.default_rng(5)
+    x = initial_guess(prob, retr)
+    for X in (x, x + 0.02 * rng.normal(size=(colour_count(prob), x.size))):
+        calls.clear()
+        discrete.dlp_k_residual(Ld, Phi, scatter(prob, X), retr, prob.trivialization)
+        assert sorted(calls) == ["d_ltilde", "d_phi", "phi", "stencil_point"]
+
+
 # -- the ball's multiplier gauge ---------------------------------------------
 
 

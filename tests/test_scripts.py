@@ -134,3 +134,35 @@ def test_benchmark_tracer_installs_and_restores(monkeypatch):
     with Tracer().installed(geovar):
         assert cli.solve is not solve
     assert cli.solve is solve
+
+
+def test_traced_vehicle_residual_equals_the_untraced_one(monkeypatch):
+    """Under the benchmark tracer the vehicle residual, its stacked form and
+    its grouped Jacobian equal the untraced ones bit for bit, and the
+    discretized callbacks record their ``ocp.stencil`` spans, so a changed
+    callback signature fails here, not only in a traced benchmark run."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    from tracer import SpanTable, Tracer
+
+    import geovar
+    from geovar import cli, ocp, solver
+    from geovar.retraction import make_retraction
+
+    config = json.loads((Path(__file__).parent.parent / "configs" / "se2_vehicle.json").read_text())
+    prob, _ = cli.build_problem(config, N=10, h=config["N"] * config["h"] / 10)
+    retr = make_retraction("cayley", prob.group_tag)
+    x = ocp.initial_guess(prob, retr)
+    X = x + 0.02 * np.random.default_rng(2).normal(size=(4, x.size))
+
+    def evaluate():
+        fn = ocp.make_residual_fn(prob, retr)
+        return fn(x), fn.stacked(X), solver.fd_jacobian(fn, x, solver.FD_STEP, fn.pattern)
+
+    untraced = evaluate()
+    tracer = Tracer()
+    with tracer.installed(geovar):
+        traced = evaluate()
+    for got, want in zip(traced, untraced):
+        assert np.array_equal(got, want)
+    # one kernel call per assembly: single, stacked and the two Jacobian stacks
+    assert SpanTable(tracer).count("ocp.stencil") == 4
