@@ -192,13 +192,13 @@ def _slot_gradients(Ld, Phi, lambdas, q_nodes, xi_nodes):
     A constraint set that carries ``d_eval`` answers in one call, with its
     constraint values; a lone Lagrangian (``Phi is None``) uses its own
     ``d_eval``.  Otherwise every slot is differenced centrally through
-    :func:`_augmented_eval`.
+    :func:`_augmented_eval` and the constraint values are evaluated.
 
     Returns
     -------
     Dq : list of k+1 arrays (..., B, n)
     Dxi : list of k arrays (..., B, d)
-    values : (..., B, m) constraint values, or None where none were formed
+    values : (..., B, m) constraint values, or None if ``Phi is None``
     """
     k = Ld.order
     qs, xis, _ = window_views(q_nodes, xi_nodes, k)
@@ -210,7 +210,8 @@ def _slot_gradients(Ld, Phi, lambdas, q_nodes, xi_nodes):
     f = _augmented_eval(Ld, Phi, lambdas)
     Dq = [slot_derivative(f, arrays, j) for j in range(k + 1)]
     Dxi = [slot_derivative(f, arrays, k + 1 + j) for j in range(k)]
-    return Dq, Dxi, None
+    values = None if Phi is None else Phi.eval(tuple(qs), tuple(xis))
+    return Dq, Dxi, values
 
 
 def xi_slot_totals(Dxi, N, k):
@@ -306,9 +307,6 @@ def dlp_k_residual(Ld, Phi, path, retr, trivialization=LEFT):
 
     if Phi is None:
         res_phi = np.zeros(lead + (N - k + 1, 0))
-    elif res_phi is None:
-        qs, xis, _ = window_views(path.q_nodes, path.xi_nodes, k)
-        res_phi = Phi.eval(tuple(qs), tuple(xis))
     return res_q, res_g, res_phi
 
 
