@@ -535,34 +535,30 @@ def reconstruct(xi_nodes, g0, h, retr, trivialization=LEFT):
     """Recover group nodes from algebra increments.
 
     left:  ``g_{k+1} = g_k tau(h xi_k)``; right: ``g_{k+1} = tau(h xi_k) g_k``.
-    ``xi_nodes`` may be a stack of paths ``(..., N, d)``; the nodes then
-    carry the same leading axes.  SO(3) nodes are re-projected onto the
-    group where their orthogonality drift exceeds the trigger of
-    :func:`geovar.groups.renormalize`.  The products are formed node by
-    node and the drift of all nodes is tested at once; where a node
-    exceeds the trigger, it is projected and the nodes after it are formed
-    again from it.  Each path equals, bit for bit, a loop that forms one
-    product by :func:`compose` and renormalizes it before the next.
+    SO(3) nodes are re-projected onto the group where their orthogonality
+    drift exceeds the trigger of :func:`geovar.groups.renormalize`.  The
+    products are formed node by node and the drift of all nodes is tested
+    at once; where a node exceeds the trigger, it is projected and the nodes
+    after it are formed again from it.  The nodes equal, bit for bit, a loop
+    that forms one product by :func:`compose` and renormalizes it before the
+    next.
     """
     tag = retr.group_tag
-    N = xi_nodes.shape[-2]
+    N = xi_nodes.shape[0]
     steps = retr.tau(h * xi_nodes)
-    out = np.empty(steps.shape[:-3] + (N + 1, 3, 3))
-    out[..., 0, :, :] = g0
+    out = np.empty((N + 1, 3, 3))
+    out[0] = g0
     done = 0  # nodes 0..done are final
     while done < N:
         for kk in range(done, N):
-            out[..., kk + 1, :, :] = compose(
-                out[..., kk, :, :], steps[..., kk, :, :], trivialization
-            )
+            out[kk + 1] = compose(out[kk], steps[kk], trivialization)
         if tag != groups.SO3:
             break
-        far = groups.drifted(out[..., done + 1 :, :, :])
-        far = far.reshape(-1, N - done).any(axis=0)
+        far = groups.drifted(out[done + 1 :])
         if not far.any():
             break
         done += 1 + int(np.argmax(far))
-        out[..., done, :, :] = groups.renormalize(out[..., done, :, :], tag)
+        out[done] = groups.renormalize(out[done], tag)
     return out
 
 

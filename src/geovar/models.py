@@ -11,8 +11,8 @@ The SE(2) algebra coordinates used by :mod:`geovar.groups` are
 ``(rotation, x-translation, y-translation)``.  The vehicle model's natural
 velocity labels are ``(xi1, xi2)`` = body-frame translation and ``xi3`` =
 rotation, i.e. ``xi1 = v[1]``, ``xi2 = v[2]``, ``xi3 = v[0]``.  All model
-formulas below are written in the model labels; the mapping happens once
-at the top of each callback.
+formulas below are written in the model labels; ``_se2_args`` maps the
+stencil arguments to them.
 """
 
 from __future__ import annotations
@@ -61,22 +61,19 @@ class Se2VehicleParams:
         _check_positive(self, ("m", "J1", "J2", "p", "rho1", "rho2"))
 
 
-def _se2_split(xi, dxi):
-    """Algebra coordinates -> model labels (translations first, rotation last)."""
+def _se2_args(q, dq, ddq, xi, dxi):
+    """Stencil arguments in model labels: ``(x1, x2, x3, dx1, dx2, dx3, g,
+    dg, ddg, cos g, sin g)``, with ``g`` the thruster angle gamma."""
+    g = q[:, 0]
     return (
         xi[:, 1], xi[:, 2], xi[:, 0],
         dxi[:, 1], dxi[:, 2], dxi[:, 0],
+        g, dq[:, 0], ddq[:, 0], np.cos(g), np.sin(g),
     )
 
 
-def se2_controls(params, q, dq, ddq, xi, dxi):
-    """Control expressions ``(u1, u2)`` recovered from the reduced state."""
-    P = params
-    x1, x2, x3, dx1, dx2, dx3 = _se2_split(xi, dxi)
-    g = q[:, 0]
-    dg = dq[:, 0]
-    ddg = ddq[:, 0]
-    cg, sg = np.cos(g), np.sin(g)
+def _se2_u(P, args):
+    x1, x2, x3, dx1, dx2, dx3, g, dg, ddg, cg, sg = args
     u1 = (
         P.m * (cg * dx1 + sg * (dx2 - x1 * x3))
         + (P.J1 + P.J2) * x1 * x3 * sg
@@ -84,6 +81,21 @@ def se2_controls(params, q, dq, ddq, xi, dxi):
     )
     u2 = P.J2 * (dx3 + ddg)
     return u1, u2
+
+
+def _se2_phi1(P, args):
+    """The first constraint, which is also ``d u1 / d gamma``."""
+    x1, x2, x3, dx1, dx2, dx3, g, dg, ddg, cg, sg = args
+    return (
+        P.m * (cg * (dx2 - x1 * x3) - sg * dx1)
+        + (P.J1 + P.J2) * x1 * x3 * cg
+        + P.J2 * x1 * dg * cg
+    )
+
+
+def se2_controls(params, q, dq, ddq, xi, dxi):
+    """Control expressions ``(u1, u2)`` recovered from the reduced state."""
+    return _se2_u(params, _se2_args(q, dq, ddq, xi, dxi))
 
 
 def se2_ltilde(params):
@@ -102,22 +114,14 @@ def se2_phi(params):
     P = params
 
     def phi(q, dq, ddq, xi, dxi):
-        x1, x2, x3, dx1, dx2, dx3 = _se2_split(xi, dxi)
-        g = q[:, 0]
-        dg = dq[:, 0]
-        ddg = ddq[:, 0]
-        cg, sg = np.cos(g), np.sin(g)
-        phi1 = (
-            P.m * (cg * (dx2 - x1 * x3) - sg * dx1)
-            + (P.J1 + P.J2) * x1 * x3 * cg
-            + P.J2 * x1 * dg * cg
-        )
+        args = _se2_args(q, dq, ddq, xi, dxi)
+        x1, x2, x3, dx1, dx2, dx3, g, dg, ddg, cg, sg = args
         phi2 = (
             (P.J1 + P.J2) / P.p * (dx3 + P.p * x1 * x3)
             + P.J2 / P.p * (ddg + P.p * x1 * dg)
             + P.m * (dx2 - x1 * x3 - (x2 * x1 + x3 * x2) / P.p)
         )
-        return np.stack([phi1, phi2], axis=1)
+        return np.stack([_se2_phi1(P, args), phi2], axis=1)
 
     return phi
 
@@ -128,23 +132,16 @@ def se2_d_ltilde(params):
 
     def d_ltilde(q, dq, ddq, xi, dxi):
         B = q.shape[0]
-        x1, x2, x3, dx1, dx2, dx3 = _se2_split(xi, dxi)
-        g = q[:, 0]
-        dg = dq[:, 0]
-        cg, sg = np.cos(g), np.sin(g)
-        u1, u2 = se2_controls(params, q, dq, ddq, xi, dxi)
+        args = _se2_args(q, dq, ddq, xi, dxi)
+        x1, x2, x3, dx1, dx2, dx3, g, dg, ddg, cg, sg = args
+        u1, u2 = _se2_u(P, args)
         a1 = 2.0 * P.rho1 * u1
         a2 = 2.0 * P.rho2 * u2
-        # partials of u1
-        du1_g = (
-            P.m * (-sg * dx1 + cg * (dx2 - x1 * x3))
-            + (P.J1 + P.J2) * x1 * x3 * cg
-            + P.J2 * x1 * dg * cg
-        )
+        # partials of u1; d u1 / d gamma is phi1
         du1_dg = P.J2 * x1 * sg
         du1_x1 = sg * ((P.J1 + P.J2 - P.m) * x3 + P.J2 * dg)
         du1_x3 = sg * x1 * (P.J1 + P.J2 - P.m)
-        gq = (a1 * du1_g)[:, None]
+        gq = (a1 * _se2_phi1(P, args))[:, None]
         gdq = (a1 * du1_dg)[:, None]
         gddq = (a2 * P.J2)[:, None]
         gxi = np.zeros((B, 3))
@@ -160,37 +157,28 @@ def se2_d_ltilde(params):
 
 
 def se2_d_phi(params):
-    """Analytic gradients of the vehicle constraints (leading axis: constraint)."""
+    """``lam . grad phi`` of the vehicle constraints, per stencil argument."""
     P = params
 
-    def d_phi(q, dq, ddq, xi, dxi):
-        B = q.shape[0]
-        x1, x2, x3, dx1, dx2, dx3 = _se2_split(xi, dxi)
-        g = q[:, 0]
-        dg = dq[:, 0]
-        cg, sg = np.cos(g), np.sin(g)
-        u1, _ = se2_controls(params, q, dq, ddq, xi, dxi)
-        gq = np.zeros((B, 2, 1))
-        gdq = np.zeros((B, 2, 1))
-        gddq = np.zeros((B, 2, 1))
-        gxi = np.zeros((B, 2, 3))
-        gdxi = np.zeros((B, 2, 3))
-        # phi1
-        gq[:, 0, 0] = -u1
-        gdq[:, 0, 0] = P.J2 * x1 * cg
-        gxi[:, 0, 1] = cg * ((P.J1 + P.J2 - P.m) * x3 + P.J2 * dg)
-        gxi[:, 0, 0] = cg * x1 * (P.J1 + P.J2 - P.m)
-        gdxi[:, 0, 1] = -P.m * sg
-        gdxi[:, 0, 2] = P.m * cg
-        # phi2
-        gdq[:, 1, 0] = P.J2 * x1
-        gddq[:, 1, 0] = P.J2 / P.p
-        gxi[:, 1, 1] = (P.J1 + P.J2) * x3 + P.J2 * dg - P.m * (x3 + x2 / P.p)
-        gxi[:, 1, 2] = -P.m * (x1 + x3) / P.p
-        gxi[:, 1, 0] = (P.J1 + P.J2) * x1 - P.m * (x1 + x2 / P.p)
-        gdxi[:, 1, 2] = P.m
-        gdxi[:, 1, 0] = (P.J1 + P.J2) / P.p
-        return gq, gdq, gddq, gxi, gdxi
+    def d_phi(q, dq, ddq, xi, dxi, lam):
+        args = _se2_args(q, dq, ddq, xi, dxi)
+        x1, x2, x3, dx1, dx2, dx3, g, dg, ddg, cg, sg = args
+        u1, _ = _se2_u(P, args)
+        l1, l2 = lam[:, 0], lam[:, 1]
+        J12 = P.J1 + P.J2
+        # phi1's gradient weighted by l1, then phi2's by l2
+        gq = l1 * -u1
+        gdq = l1 * (P.J2 * x1 * cg) + l2 * (P.J2 * x1)
+        gddq = l2 * (P.J2 / P.p)
+        rot = l1 * (cg * x1 * (J12 - P.m)) + l2 * (J12 * x1 - P.m * (x1 + x2 / P.p))
+        tx = (l1 * (cg * ((J12 - P.m) * x3 + P.J2 * dg))
+              + l2 * (J12 * x3 + P.J2 * dg - P.m * (x3 + x2 / P.p)))
+        ty = l2 * (-P.m * (x1 + x3) / P.p)
+        drot = l2 * (J12 / P.p)
+        dtx = l1 * (-P.m * sg)
+        dty = l1 * (P.m * cg) + l2 * P.m
+        return (gq[:, None], gdq[:, None], gddq[:, None],
+                np.stack([rot, tx, ty], axis=1), np.stack([drot, dtx, dty], axis=1))
 
     return d_phi
 
@@ -240,9 +228,7 @@ def se2_raw_rows(params):
 
     def rows(q, dq, ddq, xi, dxi):
         B = q.shape[0]
-        x1, x2, x3, dx1, dx2, dx3 = _se2_split(xi, dxi)
-        dg = dq[:, 0]
-        ddg = ddq[:, 0]
+        x1, x2, x3, dx1, dx2, dx3, g, dg, ddg, cg, sg = _se2_args(q, dq, ddq, xi, dxi)
         E = np.empty((B, 4))
         E[:, 0] = P.J2 * (dx3 + ddg)
         E[:, 1] = (P.J1 + P.J2) * dx3 + P.J2 * ddg - P.m * x2 * (x1 + x3)
@@ -378,23 +364,17 @@ def ball_d_ltilde(params):
 
 
 def ball_d_phi(params):
-    P = params
+    """``lam . grad phi`` of the ball; its constraint gradient is constant."""
+    a, b = -params.omega / params.r, 1.0 / params.r
 
-    def d_phi(q, dq, ddq, xi, dxi):
-        B = q.shape[0]
-        gq = np.zeros((B, 3, 2))
-        gdq = np.zeros((B, 3, 2))
-        gddq = np.zeros((B, 3, 2))
-        gxi = np.zeros((B, 3, 3))
-        gdxi = np.zeros((B, 3, 3))
-        gq[:, 0, 0] = -P.omega / P.r
-        gdq[:, 0, 1] = 1.0 / P.r
-        gxi[:, 0, 0] = 1.0
-        gq[:, 1, 1] = -P.omega / P.r
-        gdq[:, 1, 0] = -1.0 / P.r
-        gxi[:, 1, 1] = 1.0
-        gdxi[:, 2, 2] = 1.0
-        return gq, gdq, gddq, gxi, gdxi
+    def d_phi(q, dq, ddq, xi, dxi, lam):
+        return (
+            a * lam[:, :2],
+            lam[:, 1::-1] * (-b, b),
+            np.zeros_like(ddq),
+            lam * (1.0, 1.0, 0.0),
+            lam * (0.0, 0.0, 1.0),
+        )
 
     return d_phi
 

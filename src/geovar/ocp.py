@@ -13,10 +13,11 @@ trivial bundle M x G:
 3. :func:`discretize` applies the symmetric midpoint-style stencils,
    producing a :class:`~geovar.discrete.DiscreteLagrangian` of order 2 and
    a :class:`~geovar.discrete.DiscreteConstraintSet`.  With analytic model
-   gradients the constraint set carries the one-pass derivative of the
-   augmented value ``L_d + lambda . Phi_d``: the slot derivatives and the
-   constraint values of all windows from one stencil point, one call of
-   each model callback and one :func:`stencil_chain`.
+   gradients (``d_ltilde`` and the multiplier-weighted ``d_phi``) the
+   constraint set carries the one-pass derivative of the augmented value
+   ``L_d + lambda . Phi_d``: the slot derivatives and the constraint values
+   of all windows from one stencil point, one call of each model callback
+   and one :func:`stencil_chain`.
 4. :func:`full_residual` assembles interior stationarity, the terminal
    algebra closure and the constraint windows into one square system whose
    unknowns are laid out as ``[q_2..q_{N-2} | xi_1..xi_{N-2} | lambda^0..
@@ -89,6 +90,12 @@ class SecondOrderProblem:
     ``ltilde(q, dq, ddq, xi, dxi) -> (B,)`` and ``phi(...) -> (B, m)`` are
     autonomous and vectorized over evaluation points.
 
+    ``d_ltilde(q, dq, ddq, xi, dxi)`` and ``d_phi(q, dq, ddq, xi, dxi,
+    lam)``, given both or neither, are analytic gradients with respect to
+    the five arguments, each a 5-tuple of ``(B, n)``/``(B, 3)`` arrays: of
+    ``ltilde``, and of ``lam . phi`` for the multipliers ``lam`` ``(B, m)``.
+    Without them the window-slot derivatives are differenced.
+
     ``conserved``, when set, is the index of a constraint that is a
     conservation law: the time derivative of a function of ``xi`` alone.
     Its rows over the windows then telescope to boundary data, so shifting
@@ -104,11 +111,6 @@ class SecondOrderProblem:
     N: int
     h: float
     trivialization: str = LEFT
-    # Optional analytic gradients w.r.t. (q, dq, ddq, xi, dxi):
-    # d_ltilde(...) -> 5-tuple of (B, n)/(B, 3) arrays;
-    # d_phi(...) -> 5-tuple with a leading constraint axis (B, m, .).
-    # With both, discretize contracts the multipliers into them and chains
-    # once; without either, the window-slot derivatives are differenced.
     d_ltilde: Optional[Callable] = None
     d_phi: Optional[Callable] = None
     conserved: Optional[int] = None
@@ -118,6 +120,9 @@ class SecondOrderProblem:
             raise ValueError("h must be finite and positive")
         if self.N < 6:
             raise SizeError(f"need N >= 6, got {self.N}")
+        if (self.d_ltilde is None) != (self.d_phi is None):
+            missing = "d_phi" if self.d_phi is None else "d_ltilde"
+            raise ValueError(f"d_ltilde and d_phi go together; {missing} is missing")
 
 
 # ---------------------------------------------------------------------------
@@ -263,14 +268,14 @@ def discretize(prob):
     """Discrete Lagrangian (scaled by h) and constraint set on the stencils.
 
     Windows of a stack of paths, ``(P, B, n)``, reach the model callbacks as
-    ``P B`` rows.  When the problem carries both analytic gradients, the
+    ``P B`` rows.  When the problem carries analytic gradients, the
     constraint set's ``d_eval(qs, xis, lambdas)`` is the one-pass kernel of
     the augmented value ``L_d + lambda . Phi_d``: one stencil point, one
-    ``d_ltilde``, ``d_phi`` and ``phi`` call each, the multipliers
-    contracted into the model gradients (``h grad ltilde + lambda . grad
-    phi`` per stencil argument) and one stencil chain over the result.  It
-    returns the slot derivatives and the constraint values of the windows.
-    Without both gradients the slot derivatives are differenced.
+    ``d_ltilde``, ``d_phi`` and ``phi`` call each, ``h grad ltilde +
+    grad(lambda . phi)`` per stencil argument and one stencil chain over
+    the result.  It returns the slot derivatives and the constraint values
+    of the windows.  Without gradients the slot derivatives are
+    differenced.
     """
     h, m = prob.h, prob.m
 
@@ -292,16 +297,15 @@ def discretize(prob):
         flat, lead = rows(qs, xis)
         lam = lambdas.reshape(-1, m)
         grads = [
-            (h * gl + np.einsum("bm,bmn->bn", lam, gp)).reshape(lead + gl.shape[1:])
-            for gl, gp in zip(prob.d_ltilde(*flat), prob.d_phi(*flat))
+            (h * gl + gp).reshape(lead + gl.shape[1:])
+            for gl, gp in zip(prob.d_ltilde(*flat), prob.d_phi(*flat, lam))
         ]
         Dq, Dxi = stencil_chain(*grads, h)
         return Dq, Dxi, prob.phi(*flat).reshape(lead + (m,))
 
-    have_grads = prob.d_ltilde is not None and prob.d_phi is not None
     Ld = DiscreteLagrangian(order=K_ORDER, eval=ld)
     Phi = DiscreteConstraintSet(
-        m=m, eval=phid, d_eval=d_augmented if have_grads else None
+        m=m, eval=phid, d_eval=None if prob.d_phi is None else d_augmented
     )
     return Ld, Phi
 

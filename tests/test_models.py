@@ -316,8 +316,9 @@ def _check_gradients(prob, n, seed, tol=1e-6):
     rng = np.random.default_rng(seed)
     B = 10
     args = list(random_args(rng, B, n))
+    lam = rng.normal(size=(B, prob.m))
     gl = prob.d_ltilde(*args)
-    gp = prob.d_phi(*args)
+    gp = prob.d_phi(*args, lam)
     eps = 1e-7
     for slot in range(5):
         width = args[slot].shape[1]
@@ -328,5 +329,5 @@ def _check_gradients(prob, n, seed, tol=1e-6):
             lo[slot][:, c] -= eps
             fd_l = (prob.ltilde(*hi) - prob.ltilde(*lo)) / (2 * eps)
             assert np.abs(gl[slot][:, c] - fd_l).max() < tol
-            fd_p = (prob.phi(*hi) - prob.phi(*lo)) / (2 * eps)
-            assert np.abs(gp[slot][:, :, c] - fd_p).max() < tol
+            fd_p = np.sum(lam * (prob.phi(*hi) - prob.phi(*lo)), axis=1) / (2 * eps)
+            assert np.abs(gp[slot][:, c] - fd_p).max() < tol

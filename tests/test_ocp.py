@@ -143,6 +143,14 @@ def test_problem_rejects_a_non_finite_step(h):
         se2_problem(N=10, h=h)
 
 
+@pytest.mark.parametrize("missing", ["d_ltilde", "d_phi"])
+def test_problem_refuses_half_a_gradient_pair(missing):
+    """With one gradient alone, discretize would drop it and difference
+    both; the problem names the one that is missing instead."""
+    with pytest.raises(ValueError, match=f"{missing} is missing"):
+        dataclasses.replace(se2_problem(N=10), **{missing: None})
+
+
 # -- stencils ----------------------------------------------------------------
 
 
@@ -674,10 +682,9 @@ def kernel_case(case):
 
 
 def two_callback_slots(prob, qs, xis, lambdas):
-    """Slot derivatives the way they were formed with one callback per
-    term: each model gradient through its own stencil chain (the
-    Lagrangian's scaled by h after the chain), then the multipliers
-    contracted into the constraint slots."""
+    """Slot derivatives the way they were formed with one chain per
+    callback: each model gradient through its own stencil chain (the
+    Lagrangian's scaled by h after the chain), then the two added."""
     h = prob.h
     point = stencil_point(qs, xis, h)
     lead = point[0].shape[:-1]
@@ -694,11 +701,8 @@ def two_callback_slots(prob, qs, xis, lambdas):
         ]
 
     lagrangian = chain(prob.d_ltilde(*flat), h)
-    constraints = chain(prob.d_phi(*flat), 1.0)
-    return [
-        DL + np.einsum("...m,...mn->...n", lambdas, DP)
-        for DL, DP in zip(lagrangian, constraints)
-    ]
+    constraints = chain(prob.d_phi(*flat, lambdas.reshape(-1, prob.m)), 1.0)
+    return [DL + DP for DL, DP in zip(lagrangian, constraints)]
 
 
 def relative_gap(got, want):

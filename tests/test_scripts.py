@@ -136,11 +136,14 @@ def test_benchmark_tracer_installs_and_restores(monkeypatch):
     assert cli.solve is solve
 
 
-def test_traced_vehicle_residual_equals_the_untraced_one(monkeypatch):
-    """Under the benchmark tracer the vehicle residual, its stacked form and
-    its grouped Jacobian equal the untraced ones bit for bit, and the
-    discretized callbacks record their ``ocp.stencil`` spans, so a changed
-    callback signature fails here, not only in a traced benchmark run."""
+@pytest.mark.parametrize("name", ["se2_vehicle.json", "ball_plate.json"])
+def test_traced_residual_equals_the_untraced_one(monkeypatch, name):
+    """Under the benchmark tracer each control model's residual, its stacked
+    form and its grouped Jacobian equal the untraced ones bit for bit.  The
+    problem is built under the tracer, so the model callbacks run through
+    its wrappers and the discretized callbacks record their ``ocp.stencil``
+    spans: a changed callback signature fails here, not only in a traced
+    benchmark run."""
     monkeypatch.syspath_prepend(str(BENCH))
     from tracer import SpanTable, Tracer
 
@@ -148,14 +151,17 @@ def test_traced_vehicle_residual_equals_the_untraced_one(monkeypatch):
     from geovar import cli, ocp, solver
     from geovar.retraction import make_retraction
 
-    config = json.loads((Path(__file__).parent.parent / "configs" / "se2_vehicle.json").read_text())
-    prob, _ = cli.build_problem(config, N=10, h=config["N"] * config["h"] / 10)
-    retr = make_retraction("cayley", prob.group_tag)
-    x = ocp.initial_guess(prob, retr)
+    config = json.loads((Path(__file__).parent.parent / "configs" / name).read_text())
+
+    def problem():
+        return cli.build_problem(config, N=10, h=config["N"] * config["h"] / 10)[0]
+
+    retr = make_retraction("cayley", problem().group_tag)
+    x = ocp.initial_guess(problem(), retr)
     X = x + 0.02 * np.random.default_rng(2).normal(size=(4, x.size))
 
     def evaluate():
-        fn = ocp.make_residual_fn(prob, retr)
+        fn = ocp.make_residual_fn(problem(), retr)
         return fn(x), fn.stacked(X), solver.fd_jacobian(fn, x, solver.FD_STEP, fn.pattern)
 
     untraced = evaluate()
@@ -164,5 +170,8 @@ def test_traced_vehicle_residual_equals_the_untraced_one(monkeypatch):
         traced = evaluate()
     for got, want in zip(traced, untraced):
         assert np.array_equal(got, want)
-    # one kernel call per assembly: single, stacked and the two Jacobian stacks
-    assert SpanTable(tracer).count("ocp.stencil") == 4
+    # one kernel call per assembly: single, stacked and the two Jacobian
+    # stacks, each calling d_ltilde, d_phi and phi once
+    spans = SpanTable(tracer)
+    for span in ("ocp.stencil", "models.d_ltilde", "models.d_phi", "models.phi"):
+        assert spans.count(span) == 4, span
