@@ -6,10 +6,10 @@ per-step kinetic energy and the spatial momentum components to a CSV and
 prints summary drift figures.  Energy should oscillate with no secular
 trend; the spatial momentum should be constant to solver accuracy.
 
-Exits with 1, writing nothing, when a flag is out of range (``--steps``
-below 2, a zero, negative or non-finite ``--h`` or ``--inertia`` entry, a
-non-finite ``--xi0`` entry), and with 2 when any step hit its Newton
-iteration cap (the CSV is still written).  Example:
+Exits with 1, writing nothing, when a flag is malformed or out of range
+(``--steps`` below 2, a zero, negative or non-finite ``--h`` or
+``--inertia`` entry, a non-finite ``--xi0`` entry), and with 2 when any
+step hit its Newton iteration cap (the CSV is still written).  Example:
 ``python scripts/energy_drift.py --steps 1000``.
 """
 
@@ -56,7 +56,12 @@ def main(argv=None):
         "--xi0", type=float, nargs=3, default=[0.3, 0.2, 0.5]
     )
     parser.add_argument("--out-dir", default="out/energy_drift")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a malformed flag
+        if exc.code == 2:
+            return 1
+        raise
     bad = bad_argument(args)
     if bad:
         print(f"error: {bad}", file=sys.stderr)

@@ -18,10 +18,8 @@ Subcommands
     the column-grouped Jacobian equals the dense one exactly.
 
 Common flags: ``--tol``, ``--max-iters``, ``--retraction``, ``--out-dir``.
-Each flag can also be set through an environment variable with the
-``GEOVAR_`` prefix (``GEOVAR_TOL``, ``GEOVAR_MAX_ITERS``,
-``GEOVAR_RETRACTION``, ``GEOVAR_OUT_DIR``); explicit flags win over the
-environment, which wins over the config file.
+A flag wins over the config file.  A malformed command line is a
+configuration error (exit 1).
 
 The config file is JSON; see the repository README for the schema.
 """
@@ -32,7 +30,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -212,44 +209,29 @@ def solver_config(cfg, args):
         if key not in keys:
             raise ConfigError("solver", f"{key!r} is not a config key")
     kwargs = dict(table)
-    tol = _override(args, "tol", "GEOVAR_TOL", float)
-    if tol is not None:
-        kwargs["tol_residual"] = tol
-    max_iters = _override(args, "max_iters", "GEOVAR_MAX_ITERS", int)
-    if max_iters is not None:
-        kwargs["max_iters"] = max_iters
+    if args.tol is not None:
+        kwargs["tol_residual"] = args.tol
+    if args.max_iters is not None:
+        kwargs["max_iters"] = args.max_iters
     try:
         return SolverConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError("solver", str(exc))
 
 
-def _override(args, attr, env, typ):
-    val = getattr(args, attr, None)
-    if val is not None:
-        return val
-    raw = os.environ.get(env)
-    if raw is None:
-        return None
-    try:
-        return typ(raw)
-    except ValueError:
-        raise ConfigError(env, f"cannot parse {raw!r} as {typ.__name__}")
-
-
 def retraction_kind(cfg, args):
-    kind = getattr(args, "retraction", None) or os.environ.get("GEOVAR_RETRACTION") \
-        or cfg.get("retraction", "cayley")
+    kind = args.retraction or cfg.get("retraction", "cayley")
     if not isinstance(kind, str):
         raise ConfigError("retraction", f"expected a string, got {kind!r}")
     return kind
 
 
 def out_dir(cfg, args):
-    out = getattr(args, "out_dir", None) or os.environ.get("GEOVAR_OUT_DIR") \
-        or cfg.get("out_dir", ".")
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    path = Path(args.out_dir or cfg.get("out_dir", "."))
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("out_dir", f"cannot create {path}: {exc}")
     return path
 
 
@@ -502,8 +484,7 @@ def _ladder_ocp(cfg, args, scfg, rungs):
     # Refinement studies compare trajectories at discretization-error
     # scale; avoid grinding on the finite-difference Jacobian floor
     # unless a tolerance was requested explicitly.
-    explicit_tol = _override(args, "tol", "GEOVAR_TOL", float) is not None
-    if not explicit_tol and scfg.tol_residual < 1e-8:
+    if args.tol is None and scfg.tol_residual < 1e-8:
         scfg = dataclasses.replace(scfg, tol_residual=1e-8)
     runs = []
     for i, prob in enumerate(probs):
@@ -544,6 +525,8 @@ def cmd_oracle(args):
     cfg, _ = _load(args)
     if cfg["model"] == "free_rigid_body":
         raise ConfigError("model", "the oracle command needs an optimal-control model")
+    if args.seed < 0:
+        raise ConfigError("seed", f"must be non-negative, got {args.seed}")
     N = min(cfg["N"], 9)
     prob, _ = build_problem(cfg, N=N)
     retr = make_retraction(retraction_kind(cfg, args), prob.group_tag)
@@ -627,7 +610,12 @@ def make_parser():
 
 
 def main(argv=None):
-    args = make_parser().parse_args(argv)
+    try:
+        args = make_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a malformed command line
+        if exc.code == 2:
+            return EXIT_CONFIG
+        raise
     handlers = {
         "solve": cmd_solve,
         "convergence": cmd_convergence,

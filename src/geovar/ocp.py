@@ -450,8 +450,9 @@ def assemble_unknowns(prob, path):
 
 
 def initial_guess(prob, retr):
-    """Standard warm start: linear M-interpolation, constant algebra
-    velocity toward the terminal group point, zero multipliers."""
+    """Standard cold start: linear M-interpolation, constant algebra
+    velocity toward the terminal group point, zero multipliers.  Warm
+    starts come from ``refine_guess``."""
     b = prob.boundary
     N, n, m = prob.N, prob.n, prob.m
     frac = np.linspace(0.0, 1.0, N + 1)[:, None]

@@ -207,7 +207,6 @@ def test_boolean_list_entry_is_a_config_error(tmp_path, capsys, config, where, f
 
 def test_non_string_out_dir_is_a_config_error(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("GEOVAR_OUT_DIR", raising=False)
     table = base_table(FRB_CONFIG)
     table["out_dir"] = 5
     code = cli.main(["solve", write_config(tmp_path, table)])
@@ -348,7 +347,8 @@ def test_shipped_config_pins_a_gauge_exactly_when_it_declares_one(name):
     prob, _ = cli.build_problem(cfg)
     retr = make_retraction(cfg.get("retraction", "cayley"), prob.group_tag)
     gauge = ocp.make_residual_fn(prob, retr).gauge
-    linear_solver = cli.solver_config(cfg, None).linear_solver
+    args = cli.make_parser().parse_args(["solve", str(CONFIG_DIR / name)])
+    linear_solver = cli.solver_config(cfg, args).linear_solver
     assert (linear_solver == "pseudoinverse") == (gauge is not None)
 
 
@@ -521,14 +521,14 @@ class _StopRun(Exception):
 
 
 @pytest.mark.parametrize(
-    "flags, env, expected",
-    [([], None, 1e-8), (["--tol", "1e-10"], None, 1e-10), ([], "1e-10", 1e-10)],
+    "flags, expected", [([], 1e-8), (["--tol", "1e-10"], 1e-10)],
+    ids=["flags0-None-1e-08", "flags1-None-1e-10"],
 )
 def test_convergence_floors_the_tolerance_unless_one_is_given(
-    tmp_path, monkeypatch, flags, env, expected
+    tmp_path, monkeypatch, flags, expected
 ):
     """The fixture asks for 1e-10; a refinement study floors it at 1e-8
-    unless ``--tol`` or ``GEOVAR_TOL`` sets it."""
+    unless ``--tol`` sets it."""
     tols = []
 
     def first_rung_only(fn, x0, cfg):
@@ -536,10 +536,6 @@ def test_convergence_floors_the_tolerance_unless_one_is_given(
         raise _StopRun
 
     monkeypatch.setattr(cli, "solve", first_rung_only)
-    if env is None:
-        monkeypatch.delenv("GEOVAR_TOL", raising=False)
-    else:
-        monkeypatch.setenv("GEOVAR_TOL", env)
     with pytest.raises(_StopRun):
         cli.main(
             ["convergence", SE2_CONFIG, "--out-dir", str(tmp_path),
@@ -599,12 +595,11 @@ def test_oracle_rejects_unconstrained_model(tmp_path, capsys):
     assert "model" in capsys.readouterr().err
 
 
-# -- environment variables and precedence ------------------------------------
+# -- flags and the command line ---------------------------------------------
 
 
-def test_env_variable_caps_iterations(tmp_path, monkeypatch):
-    monkeypatch.setenv("GEOVAR_MAX_ITERS", "1")
-    code = cli.main(["solve", SE2_CONFIG, "--out-dir", str(tmp_path)])
+def test_max_iters_flag_caps_iterations(tmp_path):
+    code = cli.main(["solve", SE2_CONFIG, "--out-dir", str(tmp_path), "--max-iters", "1"])
     assert code == 2
     diag = json.loads((tmp_path / "diagnostics.json").read_text())
     assert diag["converged"] is False
@@ -613,41 +608,74 @@ def test_env_variable_caps_iterations(tmp_path, monkeypatch):
     assert (tmp_path / "trajectory.csv").exists()
 
 
-def test_flag_overrides_environment(tmp_path, monkeypatch):
-    monkeypatch.setenv("GEOVAR_MAX_ITERS", "1")
-    code = cli.main(
-        ["solve", SE2_CONFIG, "--out-dir", str(tmp_path), "--max-iters", "120"]
-    )
-    assert code == 0
+@pytest.mark.parametrize(
+    "flag, key, flag_value, file_value",
+    [("--max-iters", "max_iters", 1, 80),
+     ("--tol", "tol_residual", 1e-3, 1e-10),
+     ("--retraction", "retraction", "exp4", "cayley")],
+    ids=["max-iters", "tol", "retraction"],
+)
+def test_a_flag_wins_over_the_config_file(tmp_path, flag, key, flag_value, file_value):
+    """A run given the flag writes what a run whose file holds the flag's
+    value writes, and not what the file's own value writes."""
 
+    def run(name, value, flags=()):
+        table = base_se2_table()
+        (table if key == "retraction" else table["solver"])[key] = value
+        out = tmp_path / name
+        code = cli.main(["solve", write_config(tmp_path, table, f"{name}.json"),
+                         "--out-dir", str(out), *flags])
+        return code, (out / "trajectory.csv").read_bytes(), \
+            (out / "diagnostics.json").read_bytes()
 
-def test_env_out_dir_is_honored(tmp_path, monkeypatch):
-    monkeypatch.setenv("GEOVAR_OUT_DIR", str(tmp_path / "envout"))
-    assert cli.main(["solve", FRB_CONFIG]) == 0
-    assert (tmp_path / "envout" / "trajectory.csv").exists()
-
-
-def test_bad_env_value_is_a_config_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("GEOVAR_MAX_ITERS", "many")
-    code = cli.main(["solve", SE2_CONFIG, "--out-dir", str(tmp_path)])
-    assert code == 1
-    assert "GEOVAR_MAX_ITERS" in capsys.readouterr().err
+    flagged = run("flagged", file_value, [flag, str(flag_value)])
+    assert flagged == run("flag_in_file", flag_value)
+    assert flagged != run("file_alone", file_value)
 
 
 @pytest.mark.parametrize(
-    "command, config", [("solve", FRB_CONFIG), ("oracle", SE2_CONFIG)],
-    ids=["free_rigid_body", "oracle"],
+    "argv",
+    [["solve", SE2_CONFIG, "--tol", "abc"], ["solve", SE2_CONFIG, "--bogus"],
+     ["solve"], []],
+    ids=["bad-value", "unknown-flag", "missing-config", "missing-command"],
 )
-def test_bad_env_value_is_a_config_error_where_unused(tmp_path, monkeypatch, capsys,
-                                                      command, config):
-    monkeypatch.setenv("GEOVAR_MAX_ITERS", "many")
-    out = tmp_path / "out"
-    code = cli.main([command, config, "--out-dir", str(out)])
+def test_malformed_command_line_is_a_config_error(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage: geovar")
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: geovar solve")
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+@pytest.mark.parametrize(
+    "command, flags",
+    [("solve", []), ("convergence", ["--h-list", "0.1", "0.05", "0.025"])],
+)
+def test_unusable_out_dir_is_a_config_error(tmp_path, capsys, command, flags, below):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    out = taken / "sub" if below else taken
+    code = cli.main([command, SE2_CONFIG, "--out-dir", str(out), *flags])
+    assert code == 1
+    assert "config field 'out_dir'" in capsys.readouterr().err
+    assert taken.read_text() == "kept\n"
+
+
+def test_negative_oracle_seed_is_a_config_error(tmp_path, capsys):
+    code = cli.main(["oracle", SE2_CONFIG, "--seed", "-1", "--out-dir", str(tmp_path)])
     assert code == 1
     captured = capsys.readouterr()
-    assert "GEOVAR_MAX_ITERS" in captured.err
+    assert "config field 'seed'" in captured.err
     assert captured.out == ""
-    assert not out.exists()
 
 
 # -- convergence -------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Source hygiene: no module in ``src/geovar`` or ``scripts`` imports a name
-it never uses, no module in ``src/geovar`` defines a function or class
-that nothing uses, and no module in ``src/geovar`` reads another geovar
-module's underscore name.
+it never uses or reads the process environment, no module in
+``src/geovar`` defines a function or class that nothing uses, and no
+module in ``src/geovar`` reads another geovar module's underscore name.
 
 The checks read the syntax tree only, so they need no linter:
 
@@ -13,7 +13,10 @@ The checks read the syntax tree only, so they need no linter:
   imported name or a string constant (the bench tracer patches functions by
   name);
 - a module of ``src/geovar`` imports no underscore name from another geovar
-  module and reads none as an attribute of an imported geovar module.
+  module and reads none as an attribute of an imported geovar module;
+- a module of ``src/geovar`` or ``scripts`` reads neither ``os.environ`` nor
+  ``os.getenv``, under any name it binds to ``os``, and imports neither from
+  ``os``: a run takes its settings from its command line and config file.
 """
 
 import ast
@@ -153,3 +156,46 @@ def test_checker_flags_a_private_name_of_another_module():
 )
 def test_no_private_names_across_modules(path):
     assert private_reads(path.read_text()) == []
+
+
+ENVIRONMENT = ("environ", "getenv")
+
+
+def environment_reads(source):
+    """``(line, "os.name")`` of each read of the process environment in
+    ``source``: ``os.environ`` or ``os.getenv`` through a name bound to
+    ``os``, or either one imported from ``os``."""
+    tree = ast.parse(source)
+    modules = set()
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "os" or (not alias.asname and alias.name.startswith("os.")):
+                    modules.add(alias.asname or "os")  # import os.path binds os
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [(node.lineno, f"os.{a.name}") for a in node.names if a.name in ENVIRONMENT]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT
+                and isinstance(node.value, ast.Name) and node.value.id in modules):
+            found.append((node.lineno, f"os.{node.attr}"))
+    return sorted(found)
+
+
+def test_checker_flags_a_read_of_the_environment():
+    source = (
+        "import os.path\n"
+        "import os as system, os.path as osp\n"
+        "from os import getenv, sep\n"
+        "os.environ.get('A'), system.getenv('B')\n"
+        "osp.environ, cfg.environ, environ, os.path.join(sep)\n"
+    )
+    assert environment_reads(source) == [
+        (3, "os.getenv"), (4, "os.environ"), (4, "os.getenv"),
+    ]
+    assert environment_reads("import os\nos.path.join('a')\n") == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_module_reads_the_environment(path):
+    assert environment_reads(path.read_text()) == []

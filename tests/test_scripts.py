@@ -97,6 +97,26 @@ def test_energy_drift_rejects_a_bad_flag_with_exit_1(tmp_path, capsys, flags, fl
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags", [["--steps", "abc"], ["--bogus"], ["--inertia", "1"]],
+    ids=["bad-value", "unknown-flag", "too-few-values"],
+)
+def test_energy_drift_rejects_a_malformed_flag_with_exit_1(tmp_path, capsys, flags):
+    """argparse's own usage error exits 1, as a bad value does, not 2."""
+    out = tmp_path / "out"
+    code = load_script("energy_drift").main(flags + ["--out-dir", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("usage: ")
+    assert not out.exists()
+
+
+def test_energy_drift_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        load_script("energy_drift").main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ")
+
+
 def test_energy_drift_runs_the_fewest_steps_it_accepts(tmp_path):
     code = load_script("energy_drift").main(
         ["--steps", "2", "--out-dir", str(tmp_path)]
