@@ -4,6 +4,9 @@
 Runs the rigid-body and planar-vehicle refinement studies over a shared
 geometric h sequence and prints the fitted slopes.  Each study writes its
 ``convergence.csv`` into a subdirectory of ``--out-dir``.
+
+Exits with 1 on a malformed flag, and otherwise with the exit code of the
+first study that fails (2 for a failed inner solve), or 0.
 """
 
 import argparse
@@ -30,7 +33,12 @@ def main(argv=None):
     parser.add_argument(
         "--study", choices=sorted(STUDIES) + ["all"], default="all",
     )
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a malformed flag
+        if exc.code == 2:
+            return 1
+        raise
     names = sorted(STUDIES) if args.study == "all" else [args.study]
     for name in names:
         out = Path(args.out_dir) / name

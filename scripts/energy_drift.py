@@ -8,8 +8,9 @@ trend; the spatial momentum should be constant to solver accuracy.
 
 Exits with 1, writing nothing, when a flag is malformed or out of range
 (``--steps`` below 2, a zero, negative or non-finite ``--h`` or
-``--inertia`` entry, a non-finite ``--xi0`` entry), and with 2 when any
-step hit its Newton iteration cap (the CSV is still written).  Example:
+``--inertia`` entry, a non-finite ``--xi0`` entry, an ``--out-dir`` that
+cannot be made a directory), before integrating, and with 2 when any step
+hit its Newton iteration cap (the CSV is still written).  Example:
 ``python scripts/energy_drift.py --steps 1000``.
 """
 
@@ -66,6 +67,12 @@ def main(argv=None):
     if bad:
         print(f"error: {bad}", file=sys.stderr)
         return 1
+    out = Path(args.out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: --out-dir cannot be created: {exc}", file=sys.stderr)
+        return 1
 
     body = free_rigid_body_model(args.inertia)
     retr = CayleyRetraction(groups.SO3)
@@ -77,8 +84,6 @@ def main(argv=None):
     energy = body.energy(xi)
     pi = spatial_momentum(body.lhat_grad(h), xi, g[:-1], h, retr)
 
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     lines = ["t,energy,pi1,pi2,pi3"]
     for k in range(args.steps):
         lines.append(

@@ -19,7 +19,8 @@ Subcommands
 
 Common flags: ``--tol``, ``--max-iters``, ``--retraction``, ``--out-dir``.
 A flag wins over the config file.  A malformed command line is a
-configuration error (exit 1).
+configuration error (exit 1), and so is an output directory that cannot be
+made, found before any solve.
 
 The config file is JSON; see the repository README for the schema.
 """
@@ -335,7 +336,7 @@ def _rigid_body(cfg, args):
 # ---------------------------------------------------------------------------
 
 
-def _solve_ocp(cfg, args, scfg):
+def _solve_ocp(cfg, args, scfg, directory):
     prob, _ = build_problem(cfg)
     retr = make_retraction(retraction_kind(cfg, args), prob.group_tag)
     counts = {
@@ -361,14 +362,14 @@ def _solve_ocp(cfg, args, scfg):
         ),
     }
     return _write_run(
-        cfg, args, diag, path.q_nodes, path.xi_nodes, path.lambda_nodes, path.g_nodes
+        directory, diag, path.q_nodes, path.xi_nodes, path.lambda_nodes, path.g_nodes
     )
 
 
 # A flow that overflows is reported by its capped steps, exit code and
 # null diagnostics; numpy's floating-point warnings would only repeat it.
 @np.errstate(invalid="ignore", over="ignore")
-def _solve_frb(cfg, args):
+def _solve_frb(cfg, args, directory):
     body, retr, flow = _rigid_body(cfg, args)
     table = cfg["boundary"]
     g0 = _matrix(table, "g0", groups.SO3, "boundary.") if "g0" in table else np.eye(3)
@@ -394,13 +395,12 @@ def _solve_frb(cfg, args):
         "energy_initial": float(energy[0]),
         "energy_drift_max": float(np.abs(energy - energy[0]).max()),
     }
-    return _write_run(cfg, args, diag, None, xi_nodes, None, g_nodes)
+    return _write_run(directory, diag, None, xi_nodes, None, g_nodes)
 
 
-def _write_run(cfg, args, diag, q_nodes, xi_nodes, lam_nodes, g_nodes):
-    """Write ``trajectory.csv`` and ``diagnostics.json``; the exit code
-    follows ``diag["converged"]``."""
-    directory = out_dir(cfg, args)
+def _write_run(directory, diag, q_nodes, xi_nodes, lam_nodes, g_nodes):
+    """Write ``trajectory.csv`` and ``diagnostics.json`` into ``directory``;
+    the exit code follows ``diag["converged"]``."""
     t_nodes = np.arange(diag["N"] + 1) * diag["h"]
     write_trajectory(
         directory / "trajectory.csv", t_nodes, q_nodes, xi_nodes, lam_nodes, g_nodes
@@ -411,9 +411,10 @@ def _write_run(cfg, args, diag, q_nodes, xi_nodes, lam_nodes, g_nodes):
 
 def cmd_solve(args):
     cfg, scfg = _load(args)
+    directory = out_dir(cfg, args)  # an unusable one fails before the solve
     if cfg["model"] == "free_rigid_body":
-        return _solve_frb(cfg, args)
-    return _solve_ocp(cfg, args, scfg)
+        return _solve_frb(cfg, args, directory)
+    return _solve_ocp(cfg, args, scfg, directory)
 
 
 # ---------------------------------------------------------------------------

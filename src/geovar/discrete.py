@@ -227,14 +227,6 @@ def xi_slot_totals(Dxi, N, k):
     return S
 
 
-def _transport(mu, hxi, retr):
-    """Rows ``mu_m`` transported by ``Ad*_{W_m}``, ``W_m = tau(hxi_m)``; both
-    of shape ``(M, d)``.  The left-trivialized balance transports the known
-    node ``i-1``, the right-trivialized one the node ``i``."""
-    AdW = groups.Ad_matrix(retr.tau(hxi), retr.group_tag)
-    return np.einsum("mji,mj->mi", AdW, mu)
-
-
 def group_chain_residual(S, xi_nodes, h, retr, trivialization, lo, hi):
     """Group-part stationarity rows for nodes ``i = lo .. hi`` (inclusive).
 
@@ -247,15 +239,15 @@ def group_chain_residual(S, xi_nodes, h, retr, trivialization, lo, hi):
 
     with ``W_m = tau(h xi_m)``; equal to the gradient of the action under
     trivialized variations at node i.  Both terms are formed at every node:
-    ``retr.dtau_inv_star`` pulls the momentum back and :func:`_transport`
-    carries it by ``Ad*_{W_m}``.  Stacked nodes ``(..., M, d)`` are
-    flattened to rows and restored.
+    ``retr.dtau_inv_star`` pulls the momentum back and ``retr.transport``
+    carries it by ``Ad*_{W_m}``, each on the whole (possibly stacked)
+    ``(..., M, d)`` node array at once.  The left-trivialized balance
+    transports the known node ``i-1``, the right-trivialized one the node
+    ``i``.
     """
-    d = xi_nodes.shape[-1]
-    hxi = (h * xi_nodes).reshape(-1, d)
-    mu = retr.dtau_inv_star(hxi, S.reshape(-1, d))
-    carried = _transport(mu, hxi, retr).reshape(xi_nodes.shape)
-    mu = mu.reshape(xi_nodes.shape)
+    hxi = h * xi_nodes
+    mu = retr.dtau_inv_star(hxi, S)
+    carried = retr.transport(hxi, mu)
     if trivialization == LEFT:
         res = (carried[..., lo - 1 : hi, :] - mu[..., lo : hi + 1, :]) / h
     elif trivialization == RIGHT:
@@ -429,11 +421,13 @@ def dep_step(lhat_grad, xi_prev, h, retr, tol=1e-13, max_iter=DEP_MAX_ITER,
     by the Newton iteration of :func:`geovar.solver.newton_stack`, starting
     from ``guess`` (``xi_prev`` when None).  The seed changes only where
     Newton starts: the residual, and so the root it converges to, depend on
-    ``xi_prev`` alone.  The previous node's transported term is fixed during
-    the step.  The unknown enters only through its pulled-back momentum
-    ``mu(xi) = (dtau^-1_{h xi})* lhat_grad(xi)``, so a Newton residual makes
-    no ``tau`` call.  Returns ``(xi_next, iterations)``; the iteration count
-    equals ``max_iter`` exactly when the residual never fell below ``tol``.
+    ``xi_prev`` alone.  The previous node's transported term,
+    ``retr.transport(h xi_prev, mu(xi_prev))``, is formed once and fixed
+    during the step.  The unknown enters only through its pulled-back
+    momentum ``mu(xi) = retr.dtau_inv_star(h xi, lhat_grad(xi))``, so a
+    Newton residual makes no transport.  Returns ``(xi_next, iterations)``;
+    the iteration count equals ``max_iter`` exactly when the residual never
+    fell below ``tol``.
 
     ``carry`` is a dict that a flow hands from step to step.  It holds the
     last momenta a step evaluated: ``mu`` at its last Newton point
@@ -458,7 +452,7 @@ def dep_step(lhat_grad, xi_prev, h, retr, tol=1e-13, max_iter=DEP_MAX_ITER,
         mu_prev = held[1]
     else:
         mu_prev = pull_back(prev)
-    fixed = _transport(mu_prev, h * prev, retr)
+    fixed = retr.transport(h * prev, mu_prev)
     x = np.array(xi_prev if guess is None else guess, dtype=float)
     for it in range(max_iter):
         held = carry.get("start")

@@ -12,12 +12,18 @@ Two families are provided, each applying its tangent matrices through
 
 * Cayley (default): ``cay(xi) = (e - hat(xi)/2)^-1 (e + hat(xi)/2)`` in
   closed form for SE(2) and SO(3), with closed-form inverses and tangent
-  matrices.
+  matrices.  The two covector maps of the discrete equations, the
+  pull-back ``(dtau^-1_xi)* mu`` and the transport ``Ad*_{tau(xi)} mu``,
+  are applied in closed form too, with no ``(..., 3, 3)`` stack
+  (Bou-Rabee & Marsden, *Hamilton-Pontryagin integrators on Lie groups*,
+  FoCM 2009; Kobilarov & Marsden, *Discrete geometric optimal control on
+  Lie groups*, IEEE T-RO 2011).
 * Truncated exponential ``exp_s(xi) = sum_{i<=s} hat(xi)^i / i!`` for
   cross-checks.  Truncation leaves the group at order ``||xi||^{s+1}``, so
   it is not used for production trajectories.  Its inverse has no closed
   form: it is one :func:`geovar.solver.newton_stack` solve over the input
-  stack, which converges each matrix on its own.
+  stack, which converges each matrix on its own.  Its tangents are those
+  of that inverse, exactly.
 
 All operations accept stacked inputs (``(..., 3)`` vectors, ``(..., 3, 3)``
 matrices) and give each member of a stack the result it gets alone, bit
@@ -39,9 +45,9 @@ _EXP_INV_MAX_ITER = 50  # its Newton iteration cap
 
 
 class Retraction:
-    """The tangent maps ``dtau``, ``dtau_inv`` and ``dtau_inv_star`` of a
-    subclass that defines ``tau``, ``tau_inv``, ``dtau_matrix`` and
-    ``dtau_inv_matrix``."""
+    """The tangent maps ``dtau``, ``dtau_inv``, ``dtau_inv_star`` and the
+    transport of a subclass that defines ``tau``, ``tau_inv``,
+    ``dtau_matrix`` and ``dtau_inv_matrix``."""
 
     group_tag: str
 
@@ -54,6 +60,41 @@ class Retraction:
     def dtau_inv_star(self, xi, mu):
         """Transpose of dtau_inv applied to a covector."""
         return np.einsum("...ji,...j->...i", self.dtau_inv_matrix(xi), mu)
+
+    def transport(self, xi, mu):
+        """The covector ``mu`` carried by ``Ad*_{tau(xi)}``, the transpose of
+        ``Ad_{tau(xi)}``."""
+        Ad = groups.Ad_matrix(self.tau(xi), self.group_tag)
+        return np.einsum("...ji,...j->...i", Ad, mu)
+
+
+# (a x b)_i = t_{i+1} with t_k = a_k b_{k+1} - a_{k+1} b_k, gathered by
+# ``take``; the index is in range, and mode="clip" skips a bounds check that
+# makes a gather of thousands of rows several times slower
+_NEXT = np.array([1, 2, 0])
+
+
+def _cross(a, b):
+    """``a x b`` of (..., 3) stacks."""
+    t = a * b.take(_NEXT, -1, mode="clip") - a.take(_NEXT, -1, mode="clip") * b
+    return t.take(_NEXT, -1, mode="clip")
+
+
+def _dot(a, b):
+    """``a . b`` of (..., 3) stacks, as (..., 1).  Adding the three columns
+    gives the bits of ``sum(-1)``, which is several times slower on
+    thousands of rows."""
+    p = a * b
+    return (p[..., 0] + p[..., 1] + p[..., 2])[..., None]
+
+
+def _columns(c1, c2, c3):
+    """The ``(..., 3)`` stack of three equally shaped coordinate arrays."""
+    out = np.empty(np.shape(c1) + (3,))
+    out[..., 0] = c1
+    out[..., 1] = c2
+    out[..., 2] = c3
+    return out
 
 
 class CayleyRetraction(Retraction):
@@ -149,6 +190,47 @@ class CayleyRetraction(Retraction):
         M[..., :, 0] += 0.25 * xi[..., 0, None] * xi
         return M
 
+    # -- covector maps ---------------------------------------------------
+    # Both are written out from the matrices above.  The SE(2) forms add
+    # the same products in the order of the base class's einsum, so they
+    # give its bits; the SO(3) forms agree with it to round-off.
+    def dtau_inv_star(self, xi, mu):
+        """``dtau_inv_matrix(xi)^T mu``: for SO(3),
+        ``mu + xi x mu / 2 + xi (xi . mu) / 4``."""
+        xi = np.asarray(xi, dtype=float)
+        mu = np.asarray(mu, dtype=float)
+        if self.group_tag == groups.SO3:
+            return mu + 0.5 * _cross(xi, mu) + 0.25 * xi * _dot(xi, mu)
+        v1, v2, v3 = xi[..., 0], xi[..., 1], xi[..., 2]
+        m1, m2, m3 = mu[..., 0], mu[..., 1], mu[..., 2]
+        q = 0.25 * v1
+        half = 0.5 * v1
+        return _columns(
+            (1.0 + q * v1) * m1 + (q * v2 - 0.5 * v3) * m2 + (0.5 * v2 + q * v3) * m3,
+            m2 - half * m3,
+            half * m2 + m3,
+        )
+
+    def transport(self, xi, mu):
+        """``Ad*_{tau(xi)} mu``: for SO(3), ``tau(xi)^T mu``, that is
+        ``mu - c xi x mu + c (xi (xi . mu) - |xi|^2 mu) / 2`` with
+        ``c = 4 / (4 + |xi|^2)``."""
+        xi = np.asarray(xi, dtype=float)
+        mu = np.asarray(mu, dtype=float)
+        if self.group_tag == groups.SO3:
+            n2 = _dot(xi, xi)
+            c = 4.0 / (4.0 + n2)
+            return mu - c * _cross(xi, mu) + 0.5 * c * (xi * _dot(xi, mu) - n2 * mu)
+        # the entries of tau(xi), formed as tau forms them
+        v1, v2, v3 = xi[..., 0], xi[..., 1], xi[..., 2]
+        m1, m2, m3 = mu[..., 0], mu[..., 1], mu[..., 2]
+        den = 4.0 + v1 * v1
+        cos = (4.0 - v1 * v1) / den
+        sin = 4.0 * v1 / den
+        t1 = (-2.0 * v1 * v3 + 4.0 * v2) / den
+        t2 = (2.0 * v1 * v2 + 4.0 * v3) / den
+        return _columns(m1 + t2 * m2 - t1 * m3, cos * m2 + sin * m3, cos * m3 - sin * m2)
+
 
 class TruncExpRetraction(Retraction):
     """Exponential map truncated at a given polynomial order (cross-check tool)."""
@@ -203,18 +285,34 @@ class TruncExpRetraction(Retraction):
         )
 
     def dtau_matrix(self, xi):
-        """Series for the right-trivialized tangent of exp, truncated consistently."""
-        xi = np.asarray(xi, dtype=float)
-        A = groups.ad_matrix(xi, self.group_tag)
-        out = np.broadcast_to(groups.EYE3, A.shape).copy()
-        term = np.broadcast_to(groups.EYE3, A.shape).copy()
-        for j in range(1, self.order):
-            term = term @ A / (j + 1)
-            out = out + term
-        return out
+        return np.linalg.inv(self.dtau_inv_matrix(xi))
 
     def dtau_inv_matrix(self, xi):
-        return np.linalg.inv(self.dtau_matrix(xi))
+        """The tangent of the inverse :meth:`tau_inv` solves.
+
+        ``tau_inv`` finds ``x`` with ``P(tau(x)) = P(g)``, ``P`` the linear
+        coordinates of :meth:`_project`.  Moving ``g = tau(xi)`` to
+        ``(e + s hat(eta)) g`` moves ``x`` at the rate
+        ``(d_xi P(tau(xi)))^-1 P(hat(eta) tau(xi))``, so column ``j`` is
+        that rate for ``eta = e_j``.  The derivative of the polynomial
+        ``tau`` is formed term by term alongside it, exactly.
+        """
+        xi = np.asarray(xi, dtype=float)
+        X = groups.hat(xi, self.group_tag)
+        E = groups.hat(groups.EYE3, self.group_tag)  # E[k] = hat(e_k)
+        term = np.broadcast_to(groups.EYE3, X.shape).copy()
+        value = term.copy()
+        dterm = np.zeros(xi.shape[:-1] + (3, 3, 3))  # d term / d xi_k at [..., k]
+        dtau = dterm.copy()
+        for i in range(1, self.order + 1):
+            dterm = (dterm @ X[..., None, :, :] + term[..., None, :, :] @ E) / i
+            term = term @ X / i
+            value = value + term
+            dtau = dtau + dterm
+        # columns: the k-th of d_xi P(tau), the j-th of P(hat(e_j) tau)
+        jac = np.swapaxes(self._project(dtau), -1, -2)
+        moved = np.swapaxes(self._project(E @ value[..., None, :, :]), -1, -2)
+        return np.linalg.solve(jac, moved)
 
 
 def make_retraction(kind, group_tag):

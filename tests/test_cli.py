@@ -557,6 +557,19 @@ def test_oracle_passes_for_both_models(config, capsys, tmp_path):
     assert "grouped vs dense Jacobian max |dJ| 0.000e+00" in out
 
 
+@pytest.mark.parametrize("seed", [0, 3, 42])
+@pytest.mark.parametrize("config", [SE2_CONFIG, BALL_CONFIG])
+def test_oracle_passes_under_the_truncated_exponential(config, seed, capsys, tmp_path):
+    """The truncated exponential's tangents are those of the inverse it
+    solves, so its assembled rows are the action's gradient too."""
+    code = cli.main(["oracle", config, "--seed", str(seed), "--retraction", "exp4",
+                     "--out-dir", str(tmp_path)])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "FAIL" not in out
+    assert "grouped vs dense Jacobian max |dJ| 0.000e+00" in out
+
+
 def test_oracle_negative_control_flags_the_flipped_block(capsys, tmp_path,
                                                          monkeypatch):
     real = discrete.dlp_k_residual
@@ -666,6 +679,23 @@ def test_unusable_out_dir_is_a_config_error(tmp_path, capsys, command, flags, be
     out = taken / "sub" if below else taken
     code = cli.main([command, SE2_CONFIG, "--out-dir", str(out), *flags])
     assert code == 1
+    assert "config field 'out_dir'" in capsys.readouterr().err
+    assert taken.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("config, runner", [(SE2_CONFIG, (cli, "solve")),
+                                            (FRB_CONFIG, (discrete, "dep_solve_path"))],
+                         ids=["vehicle", "free_rigid_body"])
+def test_solve_checks_the_out_dir_before_it_solves(tmp_path, capsys, monkeypatch,
+                                                   config, runner):
+    """A run that can write nothing exits 1 without spending its solve."""
+    def never(*args, **kwargs):
+        raise AssertionError("solved before checking the output directory")
+
+    monkeypatch.setattr(*runner, never)
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    assert cli.main(["solve", config, "--out-dir", str(taken)]) == 1
     assert "config field 'out_dir'" in capsys.readouterr().err
     assert taken.read_text() == "kept\n"
 
@@ -818,7 +848,7 @@ def test_convergence_vehicle_under_the_truncated_exponential(tmp_path, capsys):
     lines = (tmp_path / "convergence.csv").read_text().strip().split("\n")
     rows = [line.split(",") for line in lines[1:]]
     assert len(rows) == 3
-    assert abs(float(rows[0][2]) - 1.776769) < 1e-6
+    assert abs(float(rows[0][2]) - 1.776710) < 1e-6
 
 
 def test_module_entry_point_runs_without_a_runtime_warning():

@@ -259,36 +259,37 @@ def test_dep_step_guess_moves_the_start_not_the_root(trivialization):
 
 
 class CountingCayley(CayleyRetraction):
-    """Cayley retraction that counts its ``tau`` and ``dtau_inv_matrix`` calls."""
+    """Cayley retraction that counts its ``transport`` and ``dtau_inv_star``
+    calls."""
 
     def __init__(self, group_tag):
         super().__init__(group_tag)
-        self.tau_calls = 0
+        self.transport_calls = 0
         self.dtau_inv_calls = 0
 
-    def tau(self, xi):
-        self.tau_calls += 1
-        return super().tau(xi)
+    def transport(self, xi, mu):
+        self.transport_calls += 1
+        return super().transport(xi, mu)
 
-    def dtau_inv_matrix(self, xi):
+    def dtau_inv_star(self, xi, mu):
         self.dtau_inv_calls += 1
-        return super().dtau_inv_matrix(xi)
+        return super().dtau_inv_star(xi, mu)
 
 
 @pytest.mark.parametrize("trivialization", STEPPED)
 def test_dep_step_transports_only_the_term_its_trivialization_reads(trivialization):
     """Left trivialized, only the fixed previous node is transported: one
-    tau call per step.  The step pulls back the fixed node once and the
+    transport per step.  The step pulls back the fixed node once and the
     unknown once per residual, and solves ``dep_residual``'s balance."""
     h = 0.05
     retr = CountingCayley(groups.SO3)
     grad = FreeRigidBody([1.0, 2.0, 3.0]).lhat_grad(h)
     rng = np.random.default_rng(3)
     for xi_prev in rng.uniform(-2.0, 2.0, size=(5, 3)):
-        retr.tau_calls = retr.dtau_inv_calls = 0
+        retr.transport_calls = retr.dtau_inv_calls = 0
         xi_next, iterations = dep_step(grad, xi_prev, h, retr)
         assert 0 < iterations < DEP_MAX_ITER
-        assert retr.tau_calls == 1
+        assert retr.transport_calls == 1
         assert retr.dtau_inv_calls == iterations + 2
         pair = np.stack([xi_prev, xi_next])
         assert np.abs(dep_residual(grad, pair, h, retr, trivialization)).max() <= 1e-12
@@ -355,8 +356,8 @@ def test_carried_flow_pulls_back_once_per_newton_iteration():
                                return_iterations=True)
     assert iters[:2] == [2, 2] and set(iters[2:]) == {1}
     assert retr.dtau_inv_calls == sum(iters) + 2 == N + 3
-    assert retr.tau_calls == N - 1
-    retr.tau_calls = retr.dtau_inv_calls = 0
+    assert retr.transport_calls == N - 1
+    retr.transport_calls = retr.dtau_inv_calls = 0
     flow_of_lone_steps(grad, xi[0], N, h, retr)
     assert retr.dtau_inv_calls == sum(iters) + 2 * (N - 1) == 3 * N - 1
 

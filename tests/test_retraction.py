@@ -290,6 +290,110 @@ def test_so3_dtau_inv_star_is_matrix_transpose():
         assert np.allclose(retr.dtau_inv_star(xi, mu), M.T @ mu, atol=1e-15)
 
 
+def _project(M, tag):
+    """The linear coordinates the truncated-exponential inverse solves in."""
+    return TruncExpRetraction(tag, 1)._project(M)
+
+
+@pytest.mark.parametrize("tag", TAGS)
+@pytest.mark.parametrize("order", [2, 4, 6])
+def test_trunc_exp_dtau_inv_is_the_tangent_of_its_inverse(tag, order):
+    """Column j is the rate at which ``tau_inv`` moves when ``tau(xi)`` moves
+    along ``hat(e_j) tau(xi)``, differenced centrally."""
+    eps = 1e-5
+    retr = TruncExpRetraction(tag, order)
+    for xi in np.random.default_rng(order).uniform(-0.5, 0.5, size=(10, 3)):
+        g = retr.tau(xi)
+        J_fd = np.empty((3, 3))
+        for j, ej in enumerate(np.eye(3)):
+            hp = groups.hat(ej, tag)
+            J_fd[:, j] = (
+                retr.tau_inv((np.eye(3) + eps * hp) @ g)
+                - retr.tau_inv((np.eye(3) - eps * hp) @ g)
+            ) / (2 * eps)
+        assert np.abs(J_fd - retr.dtau_inv_matrix(xi)).max() < 1e-6
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_dtau_matrix_matches_a_central_difference_of_tau(tag):
+    """``P(d/ds tau(xi + s eta)) = P(hat(dtau_xi eta) tau(xi))`` in the
+    coordinates ``P`` of the inverse, for both retractions.  (Cayley meets
+    it unprojected too; the truncated exponential leaves the group.)"""
+    eps = 1e-5
+    rng = np.random.default_rng(12)
+    for retr in (CayleyRetraction(tag), TruncExpRetraction(tag, 4)):
+        for xi, eta in rng.uniform(-0.8, 0.8, size=(20, 2, 3)):
+            diff = (retr.tau(xi + eps * eta) - retr.tau(xi - eps * eta)) / (2 * eps)
+            rhs = groups.hat(retr.dtau(xi, eta), tag) @ retr.tau(xi)
+            assert np.abs(_project(diff, tag) - _project(rhs, tag)).max() < 1e-9
+
+
+# -- covector maps -----------------------------------------------------------
+
+
+def _covector_cases(tag, shape, seed):
+    """Random ``(xi, mu)`` stacks, ``|xi|`` spread from 1e-3 to 30."""
+    rng = np.random.default_rng(seed)
+    size = 10.0 ** rng.uniform(-3.0, 1.5, size=shape[:-1] + (1,))
+    return size * rng.standard_normal(shape), rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("tag", TAGS)
+@pytest.mark.parametrize("shape", [(200, 3), (4, 50, 3)], ids=["rows", "stack"])
+def test_cayley_covector_maps_equal_their_matrix_forms(tag, shape):
+    """The closed-form pull-back and transport apply ``dtau_inv_matrix^T``
+    and ``Ad_matrix(tau)^T`` to round-off, row by row.  The SE(2) forms add
+    the same products in the same order, so they give the matrix form's
+    bits."""
+    retr = CayleyRetraction(tag)
+    xi, mu = _covector_cases(tag, shape, 13)
+    for closed, M in ((retr.dtau_inv_star, retr.dtau_inv_matrix(xi)),
+                      (retr.transport, groups.Ad_matrix(retr.tau(xi), tag))):
+        want = np.einsum("...ji,...j->...i", M, mu)
+        got = closed(xi, mu)
+        assert got.shape == shape
+        if tag == groups.SE2:
+            assert np.array_equal(got, want)
+        scale = np.abs(M).max(axis=(-2, -1)) * np.abs(mu).sum(axis=-1)
+        assert np.all(np.abs(got - want).max(axis=-1) <= 1e-15 * scale)
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_covector_maps_of_a_stack_equal_lone_calls(tag):
+    xi, mu = _covector_cases(tag, (3, 7, 3), 14)
+    for retr in (CayleyRetraction(tag), TruncExpRetraction(tag, 4)):
+        xs = 0.1 * xi if isinstance(retr, TruncExpRetraction) else xi
+        for fn in (retr.dtau_inv_star, retr.transport):
+            stacked = fn(xs, mu)
+            for idx in np.ndindex(3, 7):
+                one = fn(xs[idx], mu[idx])
+                assert one.shape == (3,)
+                assert np.array_equal(stacked[idx], one)
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_cayley_transport_of_a_pull_back_is_the_pull_back_at_minus_xi(tag):
+    """``Ad*_{cay(xi)} (dcay^-1_xi)* S = (dcay^-1_{-xi})* S``: the transport
+    checked against the pull-back alone, with no Ad matrix."""
+    retr = CayleyRetraction(tag)
+    xi, S = _covector_cases(tag, (500, 3), 15)
+    lhs = retr.transport(xi, retr.dtau_inv_star(xi, S))
+    rhs = retr.dtau_inv_star(-xi, S)
+    scale = np.abs(retr.dtau_inv_matrix(xi)).max(axis=(-2, -1)) * np.abs(S).sum(axis=-1)
+    assert np.all(np.abs(lhs - rhs).max(axis=-1) <= 2e-15 * scale)
+
+
+def test_base_transport_applies_the_ad_matrix_of_tau():
+    """A retraction without a closed form transports through ``Ad_matrix``."""
+    rng = np.random.default_rng(16)
+    for tag in TAGS:
+        retr = TruncExpRetraction(tag, 4)
+        xi, mu = 0.3 * rng.standard_normal((2, 5, 3))
+        Ad = groups.Ad_matrix(retr.tau(xi), tag)
+        want = np.stack([Ad[b].T @ mu[b] for b in range(5)])
+        assert np.allclose(retr.transport(xi, mu), want, rtol=0, atol=1e-15)
+
+
 # -- construction ------------------------------------------------------------
 
 

@@ -117,6 +117,24 @@ def test_energy_drift_help_exits_0(capsys):
     assert capsys.readouterr().out.startswith("usage: ")
 
 
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+def test_energy_drift_rejects_an_unusable_out_dir_before_integrating(
+    tmp_path, capsys, monkeypatch, below
+):
+    script = load_script("energy_drift")
+
+    def never(*args, **kwargs):
+        raise AssertionError("integrated before checking --out-dir")
+
+    monkeypatch.setattr(script, "dep_solve_path", never)
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    out = taken / "sub" if below else taken
+    assert script.main(["--steps", "50", "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: --out-dir ")
+    assert taken.read_text() == "kept\n"
+
+
 def test_energy_drift_runs_the_fewest_steps_it_accepts(tmp_path):
     code = load_script("energy_drift").main(
         ["--steps", "2", "--out-dir", str(tmp_path)]
@@ -139,6 +157,19 @@ def test_convergence_study_prints_the_slopes_the_readme_quotes(tmp_path, capsys)
         lines = (tmp_path / name / "convergence.csv").read_text().splitlines()
         assert lines[0] == "h,error,slope"
         assert len(lines) == 5  # the four default step sizes
+
+
+@pytest.mark.parametrize(
+    "flags", [["--h-list", "abc"], ["--bogus"], ["--study", "pendulum"]],
+    ids=["bad-value", "unknown-flag", "bad-choice"],
+)
+def test_convergence_study_rejects_a_malformed_flag_with_exit_1(tmp_path, capsys, flags):
+    """Exit 2 is a failed inner solve; argparse's usage error exits 1."""
+    out = tmp_path / "out"
+    code = load_script("convergence_study").main(flags + ["--out-dir", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("usage: ")
+    assert not out.exists()
 
 
 def test_benchmark_tracer_installs_and_restores(monkeypatch):
